@@ -1,14 +1,18 @@
 // Bounded FIFO ring buffer with capacity fixed at construction.
 //
-// Used by mailboxes (message queues) and trace sinks. Storage is allocated
-// once at construction ("kernel init time"); there is no allocation on the
-// send/receive paths.
+// Used by mailboxes (message queues) and trace sinks. Storage is one
+// uninitialised allocation made at construction ("kernel init time"); there
+// is no allocation on the send/receive paths. A slot is constructed only
+// when it is written, so a large ring commits memory as it fills: pages it
+// never reaches cost address space, not resident memory.
 
 #ifndef SRC_BASE_RING_BUFFER_H_
 #define SRC_BASE_RING_BUFFER_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <memory>
+#include <span>
 #include <utility>
 
 #include "src/base/assert.h"
@@ -18,10 +22,18 @@ namespace emeralds {
 template <typename T>
 class RingBuffer {
  public:
-  explicit RingBuffer(size_t capacity)
-      : capacity_(capacity), items_(std::make_unique<T[]>(capacity)) {
+  explicit RingBuffer(size_t capacity) : capacity_(capacity) {
     EM_ASSERT_MSG(capacity > 0, "RingBuffer capacity must be positive");
+    items_ = std::allocator<T>().allocate(capacity);
   }
+
+  ~RingBuffer() {
+    clear();
+    std::allocator<T>().deallocate(items_, capacity_);
+  }
+
+  RingBuffer(const RingBuffer&) = delete;
+  RingBuffer& operator=(const RingBuffer&) = delete;
 
   size_t capacity() const { return capacity_; }
   size_t size() const { return size_; }
@@ -31,7 +43,7 @@ class RingBuffer {
   // Appends `value`; the buffer must not be full.
   void push(T value) {
     EM_ASSERT_MSG(!full(), "push to full RingBuffer");
-    items_[(head_ + size_) % capacity_] = std::move(value);
+    std::construct_at(items_ + Wrap(head_ + size_), std::move(value));
     ++size_;
   }
 
@@ -40,8 +52,7 @@ class RingBuffer {
   bool push_overwrite(T value) {
     bool evicted = false;
     if (full()) {
-      head_ = (head_ + 1) % capacity_;
-      --size_;
+      DropFront();
       evicted = true;
     }
     push(std::move(value));
@@ -52,8 +63,7 @@ class RingBuffer {
   T pop() {
     EM_ASSERT_MSG(!empty(), "pop from empty RingBuffer");
     T value = std::move(items_[head_]);
-    head_ = (head_ + 1) % capacity_;
-    --size_;
+    DropFront();
     return value;
   }
 
@@ -69,17 +79,42 @@ class RingBuffer {
   // Element `index` positions from the front (0 == oldest).
   const T& at(size_t index) const {
     EM_ASSERT(index < size_);
-    return items_[(head_ + index) % capacity_];
+    return items_[Wrap(head_ + index)];
+  }
+
+  // The contents oldest-first as two contiguous runs of the ring's own
+  // storage: first_run() from the front up to the end of the storage, then
+  // second_run() from its start. second_run() is empty unless the contents
+  // wrap.
+  std::span<const T> first_run() const {
+    return std::span<const T>(items_ + head_, FirstRunSize());
+  }
+  std::span<const T> second_run() const {
+    return std::span<const T>(items_, size_ - FirstRunSize());
   }
 
   void clear() {
+    size_t first = FirstRunSize();
+    std::destroy_n(items_ + head_, first);
+    std::destroy_n(items_, size_ - first);
     head_ = 0;
     size_ = 0;
   }
 
  private:
+  // Maps a logical position in [0, 2 * capacity_) onto a slot.
+  size_t Wrap(size_t pos) const { return pos >= capacity_ ? pos - capacity_ : pos; }
+
+  size_t FirstRunSize() const { return std::min(size_, capacity_ - head_); }
+
+  void DropFront() {
+    std::destroy_at(items_ + head_);
+    head_ = Wrap(head_ + 1);
+    --size_;
+  }
+
   size_t capacity_;
-  std::unique_ptr<T[]> items_;
+  T* items_;
   size_t head_ = 0;
   size_t size_ = 0;
 };

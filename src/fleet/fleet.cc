@@ -4,6 +4,8 @@
 #include <chrono>
 #include <cstdio>
 #include <memory>
+#include <span>
+#include <vector>
 
 #include "src/base/arena.h"
 #include "src/base/assert.h"
@@ -20,38 +22,16 @@ namespace emeralds {
 namespace fleet {
 namespace {
 
-uint64_t Fnv1a(uint64_t hash, const void* data, size_t len) {
-  const auto* bytes = static_cast<const uint8_t*>(data);
-  for (size_t i = 0; i < len; ++i) {
-    hash ^= bytes[i];
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
-
-// Same digest recipe as the torture harness: the retained trace window plus
-// the reconciled counters. Equal digests == bit-identical runs.
-uint64_t DigestNode(const Kernel& kernel) {
-  uint64_t hash = 0xcbf29ce484222325ULL;
-  const TraceSink& trace = kernel.trace();
-  for (size_t i = 0; i < trace.size(); ++i) {
-    const TraceEvent& e = trace.at(i);
-    int64_t us = e.time.micros();
-    int32_t type = static_cast<int32_t>(e.type);
-    hash = Fnv1a(hash, &us, sizeof(us));
-    hash = Fnv1a(hash, &type, sizeof(type));
-    hash = Fnv1a(hash, &e.arg0, sizeof(e.arg0));
-    hash = Fnv1a(hash, &e.arg1, sizeof(e.arg1));
-    hash = Fnv1a(hash, &e.arg2, sizeof(e.arg2));
-  }
+// Same digest recipe as the torture harness (DigestTrace) over the fleet's
+// own counter list. Equal digests == bit-identical runs.
+uint64_t DigestNode(const Kernel& kernel, std::span<const TraceEvent> window) {
   const KernelStats& s = kernel.stats();
   uint64_t counters[] = {s.context_switches, s.syscalls,         s.jobs_released,
                          s.jobs_completed,   s.deadline_misses,  s.sem_acquires,
                          s.mailbox_sends,    s.mailbox_receives, s.interrupts,
                          s.timer_dispatches, s.chain_emits,      s.chain_consumes,
                          s.chain_origins};
-  hash = Fnv1a(hash, counters, sizeof(counters));
-  return hash;
+  return DigestTrace(window, counters);
 }
 
 // Workload handles, arena-resident (trivially destructible: ids + bytes).
@@ -123,13 +103,7 @@ void BuildNode(Node& node, const FleetOptions& opt, int index) {
   }
   config.cost_model = CostModel::MC68040_25MHz();
   config.timer_queue = opt.timer_queue;
-  // Sized for the full event stream including kOverheadSpan records (one per
-  // charged kernel advance, ~3x the rest of the stream), so a default-sized
-  // node keeps a complete window and the exact-attribution oracles stay armed.
-  config.trace_capacity =
-      opt.trace_capacity != 0
-          ? opt.trace_capacity
-          : static_cast<size_t>(4096 + opt.run_duration.millis() * 1536);
+  config.trace_capacity = NodeTraceCapacity(opt);
 
   // Declared causal chains: the timer's tick into the pacer, and the
   // producer's release through the mailbox. Both carry SLOs so the fleet
@@ -255,16 +229,22 @@ void EvaluateNode(Node& node, const FleetOptions& opt) {
   r.headroom_low_events = s.headroom_low_events;
   r.virtual_time = kernel.now() - Instant();
   r.trace_dropped = kernel.trace().dropped();
-  r.trace_digest = DigestNode(kernel);
+  // One read of the retained window feeds the digest and all three
+  // analyzers; it is the ring's own storage unless the ring wrapped.
+  std::vector<TraceEvent> scratch;
+  std::span<const TraceEvent> window = kernel.trace().Window(&scratch);
+  r.trace_digest = DigestNode(kernel, window);
 
-  obs::TraceAnalysis analysis = obs::AnalyzeTrace(kernel.trace());
+  obs::TraceAnalysis analysis = obs::AnalyzeTrace(window.data(), window.size(), r.trace_dropped);
   obs::Reconciliation reconciliation = obs::ComputeReconciliation(analysis, s);
-  obs::ChainAnalysis chains = obs::AnalyzeChains(kernel.trace(), kernel.resolved_chains());
+  obs::ChainAnalysis chains = obs::AnalyzeChains(window.data(), window.size(), r.trace_dropped,
+                                                 kernel.resolved_chains());
   for (const obs::ChainReport& c : chains.chains) {
     r.chain_completed += c.completed;
     r.chain_overruns += c.overruns;
   }
-  obs::PostmortemAnalysis postmortem = obs::AnalyzePostmortem(kernel.trace());
+  obs::PostmortemAnalysis postmortem =
+      obs::AnalyzePostmortem(window.data(), window.size(), r.trace_dropped);
   r.blame = postmortem.blame;
   r.postmortem_incomplete = postmortem.incomplete_misses;
   CycleConservation conservation = CheckCycleConservation(s, kernel.now());
@@ -357,6 +337,17 @@ size_t DefaultArenaBytes() {
 
 }  // namespace
 
+size_t NodeTraceCapacity(const FleetOptions& options) {
+  // Sized for the full event stream including kOverheadSpan records (one per
+  // charged kernel advance, ~3x the rest of the stream), so a default-sized
+  // node keeps a complete window and the exact-attribution oracles stay
+  // armed. The ring commits only the slots a node writes (about 71 per
+  // virtual ms), so the headroom costs address space, not resident memory.
+  return options.trace_capacity != 0
+             ? options.trace_capacity
+             : static_cast<size_t>(4096 + options.run_duration.millis() * 1536);
+}
+
 const char* TimerQueueImplName(TimerQueueImpl impl) {
   return impl == TimerQueueImpl::kWheel ? "wheel" : "sorted_list";
 }
@@ -423,7 +414,7 @@ FleetResult RunFleet(const FleetOptions& options) {
   out.wall_seconds = wall_seconds;
   out.artifacts_dir = opt.artifacts_dir;
   out.nodes.reserve(nodes.size());
-  uint64_t digest = 0xcbf29ce484222325ULL;
+  uint64_t digest = kFnv1aOffset;
   for (size_t i = 0; i < nodes.size(); ++i) {
     const NodeResult& r = nodes[i]->result;
     out.events_total += r.events;

@@ -63,9 +63,12 @@ struct FleetOptions {
   TimerQueueImpl timer_queue = TimerQueueImpl::kWheel;
   // Per-node arena capacity; 0 sizes it from the node footprint.
   size_t arena_bytes = 0;
-  // Per-node trace ring; 0 sizes it to retain the whole run. Large fleets
-  // pass a small fixed ring to bound memory — the oracles are
-  // truncation-aware, so a wrapped ring degrades checking, never correctness.
+  // Per-node trace ring; 0 sizes it to retain the whole run (see
+  // NodeTraceCapacity). Slots are committed as they are written, so unused
+  // capacity costs address space, not resident memory. Large fleets pass a
+  // small fixed ring to bound the memory a node actually touches — the
+  // oracles are truncation-aware, so a wrapped ring degrades checking,
+  // never correctness.
   size_t trace_capacity = 0;
   // Fleet telemetry plane: per-node NodeTelemetry blocks merged into
   // FleetResult::telemetry. Host-side only — collection happens after each
@@ -212,6 +215,11 @@ FleetResult RunFleet(const FleetOptions& options);
 // state is bit-identical to what the fleet run saw.
 NodeResult InspectNode(const FleetOptions& options, int index,
                        const std::function<void(const Kernel&, const NodeResult&)>& visit);
+
+// Trace ring slots each node of `options` gets: `trace_capacity` when set,
+// otherwise 4096 + 1536 per virtual ms of `run_duration`, enough to retain
+// the whole run.
+size_t NodeTraceCapacity(const FleetOptions& options);
 
 // One-line command that re-opens this node with the fleet_inspect CLI.
 std::string NodeReproCommand(const FleetOptions& options, int index);

@@ -4,6 +4,7 @@
 #include <array>
 #include <cstdio>
 #include <cstring>
+#include <span>
 #include <vector>
 
 #include "src/base/rng.h"
@@ -327,28 +328,7 @@ ThreadBodyFactory MakeTortureBody(HarnessState* st, const TortureOptions opt, Rn
   };
 }
 
-uint64_t Fnv1a(uint64_t hash, const void* data, size_t len) {
-  const uint8_t* bytes = static_cast<const uint8_t*>(data);
-  for (size_t i = 0; i < len; ++i) {
-    hash ^= bytes[i];
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
-
-uint64_t DigestRun(const Kernel& kernel) {
-  uint64_t hash = 0xcbf29ce484222325ULL;
-  const TraceSink& trace = kernel.trace();
-  for (size_t i = 0; i < trace.size(); ++i) {
-    const TraceEvent& e = trace.at(i);
-    int64_t us = e.time.micros();
-    int32_t type = static_cast<int32_t>(e.type);
-    hash = Fnv1a(hash, &us, sizeof(us));
-    hash = Fnv1a(hash, &type, sizeof(type));
-    hash = Fnv1a(hash, &e.arg0, sizeof(e.arg0));
-    hash = Fnv1a(hash, &e.arg1, sizeof(e.arg1));
-    hash = Fnv1a(hash, &e.arg2, sizeof(e.arg2));
-  }
+uint64_t DigestRun(const Kernel& kernel, std::span<const TraceEvent> window) {
   const KernelStats& s = kernel.stats();
   uint64_t counters[] = {s.context_switches, s.jobs_released,   s.jobs_completed,
                          s.deadline_misses,  s.sem_acquires,    s.mailbox_sends,
@@ -356,8 +336,7 @@ uint64_t DigestRun(const Kernel& kernel) {
                          s.smsg_read_retries, s.mailbox_truncations, s.pi_chain_limit_hits,
                          s.interrupts,       s.timer_dispatches, s.chain_emits,
                          s.chain_consumes,   s.chain_origins};
-  hash = Fnv1a(hash, counters, sizeof(counters));
-  return hash;
+  return DigestTrace(window, counters);
 }
 
 // One deterministic run: build the seeded topology, interpret the schedules,
@@ -594,13 +573,18 @@ TortureResult RunTorture(const TortureOptions& options) {
   result.seed = options.seed;
   HarnessState st;
   DriveTorture(options, &st, [&](Kernel& kernel) {
-    obs::TraceAnalysis analysis = obs::AnalyzeTrace(kernel.trace());
+    // One read of the retained window feeds the digest and the three
+    // trace analyzers; it is the ring's own storage unless the ring wrapped.
+    const TraceSink& trace = kernel.trace();
+    std::vector<TraceEvent> scratch;
+    std::span<const TraceEvent> window = trace.Window(&scratch);
+    obs::TraceAnalysis analysis = obs::AnalyzeTrace(window.data(), window.size(), trace.dropped());
     result.reconciliation = obs::ComputeReconciliation(analysis, kernel.stats());
     result.violations = analysis.violations.size();
 
     // Oracle 5: causal-token conservation (and declared-chain bookkeeping).
-    obs::ChainAnalysis chains =
-        obs::AnalyzeChains(kernel.trace(), kernel.resolved_chains());
+    obs::ChainAnalysis chains = obs::AnalyzeChains(window.data(), window.size(), trace.dropped(),
+                                                   kernel.resolved_chains());
     result.chain_violations = chains.violations.size();
     result.chain_orphan_hops = chains.orphan_hops;
     result.chain_origins = chains.origins_minted;
@@ -616,16 +600,17 @@ TortureResult RunTorture(const TortureOptions& options) {
     // Oracle 6: conservation of lateness. Every miss ledger telescopes by
     // construction unless the engine mis-walked the trace; a complete window
     // must additionally attribute every nanosecond and match every miss.
-    obs::PostmortemAnalysis postmortem = obs::AnalyzePostmortem(kernel.trace());
+    obs::PostmortemAnalysis postmortem =
+        obs::AnalyzePostmortem(window.data(), window.size(), trace.dropped());
     result.postmortem_misses = postmortem.misses_analyzed;
     result.postmortem_conservation_failures = postmortem.conservation_failures;
     result.postmortem_unattributed_ns = postmortem.blame.unattributed_ns;
     result.postmortem_unmatched = postmortem.unmatched_misses;
     result.postmortem_incomplete = postmortem.incomplete_misses;
 
-    result.trace_retained = kernel.trace().size();
-    result.trace_dropped = kernel.trace().dropped();
-    result.trace_digest = DigestRun(kernel);
+    result.trace_retained = window.size();
+    result.trace_dropped = trace.dropped();
+    result.trace_digest = DigestRun(kernel, window);
     result.virtual_time = kernel.now() - Instant();
     result.stats = kernel.stats();
 

@@ -84,6 +84,45 @@ bool TraceEventTypeFromString(const char* name, TraceEventType* out) {
   return false;
 }
 
+std::span<const TraceEvent> TraceSink::Window(std::vector<TraceEvent>* scratch) const {
+  if (!enabled_) {
+    return {};
+  }
+  std::span<const TraceEvent> first = events_.first_run();
+  std::span<const TraceEvent> second = events_.second_run();
+  if (second.empty()) {
+    return first;
+  }
+  scratch->clear();
+  scratch->reserve(first.size() + second.size());
+  scratch->insert(scratch->end(), first.begin(), first.end());
+  scratch->insert(scratch->end(), second.begin(), second.end());
+  return *scratch;
+}
+
+uint64_t Fnv1a(uint64_t hash, const void* data, size_t len) {
+  const auto* bytes = static_cast<const uint8_t*>(data);
+  for (size_t i = 0; i < len; ++i) {
+    hash ^= bytes[i];
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+uint64_t DigestTrace(std::span<const TraceEvent> window, std::span<const uint64_t> counters) {
+  uint64_t hash = kFnv1aOffset;
+  for (const TraceEvent& e : window) {
+    int64_t us = e.time.micros();
+    int32_t type = static_cast<int32_t>(e.type);
+    hash = Fnv1a(hash, &us, sizeof(us));
+    hash = Fnv1a(hash, &type, sizeof(type));
+    hash = Fnv1a(hash, &e.arg0, sizeof(e.arg0));
+    hash = Fnv1a(hash, &e.arg1, sizeof(e.arg1));
+    hash = Fnv1a(hash, &e.arg2, sizeof(e.arg2));
+  }
+  return Fnv1a(hash, counters.data(), counters.size_bytes());
+}
+
 size_t TraceSink::ExportCsv(std::FILE* out) const {
   std::fprintf(out, "time_us,event,arg0,arg1,arg2\n");
   for (size_t i = 0; i < size(); ++i) {

@@ -10,6 +10,8 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <span>
+#include <vector>
 
 #include "src/base/ring_buffer.h"
 #include "src/base/time.h"
@@ -172,6 +174,13 @@ class TraceSink {
   size_t size() const { return enabled_ ? events_.size() : 0; }
   const TraceEvent& at(size_t index) const { return events_.at(index); }
 
+  // The whole retained window, oldest first, as one span: the ring's own
+  // storage while it has not wrapped, otherwise a copy assembled in
+  // `scratch` (which is left untouched in the first case). Empty when
+  // recording is disabled. Valid until the next Record/Reset/Clear or
+  // `scratch` change.
+  std::span<const TraceEvent> Window(std::vector<TraceEvent>* scratch) const;
+
   uint64_t total_recorded() const { return total_recorded_; }
 
   // Events recorded but not retained: ring evictions plus everything recorded
@@ -221,6 +230,15 @@ class TraceSink {
   uint64_t dropped_ = 0;
   uint64_t epochs_ = 0;
 };
+
+// FNV-1a over `len` bytes of `data`, continuing from `hash`.
+inline constexpr uint64_t kFnv1aOffset = 0xcbf29ce484222325ULL;
+uint64_t Fnv1a(uint64_t hash, const void* data, size_t len);
+
+// Run digest of the fleet and torture harnesses: FNV-1a over every record of
+// `window` (time in us, type, arg0, arg1, arg2), then over the caller's
+// kernel counters. Equal digests == bit-identical runs.
+uint64_t DigestTrace(std::span<const TraceEvent> window, std::span<const uint64_t> counters);
 
 }  // namespace emeralds
 

@@ -19,19 +19,20 @@ BlackBoxSnapshot CaptureBlackBox(const Kernel& kernel, std::string label,
   box.now = kernel.now();
 
   const TraceSink& sink = kernel.trace();
-  box.window.reserve(sink.size());
-  for (size_t i = 0; i < sink.size(); ++i) {
-    box.window.push_back(sink.at(i));
-  }
+  std::vector<TraceEvent> scratch;
+  std::span<const TraceEvent> window = sink.Window(&scratch);
+  box.window.assign(window.begin(), window.end());
   box.dropped = sink.dropped();
   box.total_recorded = sink.total_recorded();
   box.thread_names = KernelThreadNames(kernel);
   box.stats = kernel.stats();
 
-  TraceAnalysis analysis = AnalyzeTrace(sink);
-  box.chains = AnalyzeChains(sink, kernel.resolved_chains());
+  const TraceEvent* events = box.window.data();
+  size_t count = box.window.size();
+  TraceAnalysis analysis = AnalyzeTrace(events, count, box.dropped);
+  box.chains = AnalyzeChains(events, count, box.dropped, kernel.resolved_chains());
   box.telemetry = CollectNodeTelemetry(kernel, analysis, box.chains);
-  box.postmortem = AnalyzePostmortem(sink);
+  box.postmortem = AnalyzePostmortem(events, count, box.dropped);
 
   if (const StatsSampler* sampler = kernel.stats_sampler()) {
     box.deltas.reserve(sampler->size());

@@ -245,7 +245,9 @@ Reconciliation ComputeReconciliation(const TraceAnalysis& a, const KernelStats& 
 std::string BuildObsRunReport(const ObsRunInfo& info, const Kernel& kernel,
                               const std::vector<ThreadId>& task_ids) {
   const TraceSink& trace = kernel.trace();
-  TraceAnalysis analysis = AnalyzeTrace(trace);
+  std::vector<TraceEvent> scratch;
+  std::span<const TraceEvent> window = trace.Window(&scratch);
+  TraceAnalysis analysis = AnalyzeTrace(window.data(), window.size(), trace.dropped());
 
   Json j;
   j.OpenObject();
@@ -266,11 +268,13 @@ std::string BuildObsRunReport(const ObsRunInfo& info, const Kernel& kernel,
   AppendTaskRows(j, CollectPerTaskStats(kernel, task_ids));
   AppendAnalysis(j, analysis);
   AppendReconciliation(j, analysis, kernel.stats());
-  ChainAnalysis chains = AnalyzeChains(trace, kernel.resolved_chains());
+  ChainAnalysis chains =
+      AnalyzeChains(window.data(), window.size(), trace.dropped(), kernel.resolved_chains());
   j.Key("chains");
   AppendChainsSection(j, chains);
   j.Key("postmortem");
-  AppendPostmortemSection(j, AnalyzePostmortem(trace), &chains);
+  AppendPostmortemSection(j, AnalyzePostmortem(window.data(), window.size(), trace.dropped()),
+                          &chains);
   AppendSnapshots(j, kernel.stats_sampler(), kernel.stats());
   j.CloseObject();
   return j.str() + "\n";

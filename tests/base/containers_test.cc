@@ -1,6 +1,8 @@
 // StaticVector and RingBuffer unit tests.
 
+#include <span>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -187,6 +189,88 @@ TEST(RingBufferTest, ClearResets) {
   EXPECT_TRUE(rb.empty());
   rb.push(3);
   EXPECT_EQ(rb.pop(), 3);
+}
+
+// Counts live instances so the tests can see exactly which slots the ring
+// has constructed and destroyed.
+struct Counted {
+  static inline int constructed = 0;
+  static inline int destroyed = 0;
+  static void ResetCounts() {
+    constructed = 0;
+    destroyed = 0;
+  }
+
+  Counted() : value(0) { ++constructed; }
+  explicit Counted(int v) : value(v) { ++constructed; }
+  Counted(const Counted& other) : value(other.value) { ++constructed; }
+  Counted(Counted&& other) noexcept : value(other.value) { ++constructed; }
+  Counted& operator=(const Counted&) = default;
+  Counted& operator=(Counted&&) = default;
+  ~Counted() { ++destroyed; }
+
+  int value;
+};
+
+TEST(RingBufferTest, ConstructsNothingBeforeTheFirstPush) {
+  Counted::ResetCounts();
+  {
+    RingBuffer<Counted> rb(1024);
+    EXPECT_EQ(Counted::constructed, 0);
+    rb.push(Counted(1));
+    // The argument temporary plus the one slot written.
+    EXPECT_EQ(Counted::constructed, 2);
+    EXPECT_EQ(Counted::destroyed, 1);
+  }
+  EXPECT_EQ(Counted::destroyed, Counted::constructed);
+}
+
+TEST(RingBufferTest, DestroysEveryElementItConstructs) {
+  Counted::ResetCounts();
+  {
+    RingBuffer<Counted> rb(3);
+    for (int i = 0; i < 10; ++i) {
+      rb.push_overwrite(Counted(i));  // overwrite evicts 7 times
+    }
+    EXPECT_EQ(Counted::constructed - Counted::destroyed, 3);
+    EXPECT_EQ(rb.pop().value, 7);
+    EXPECT_EQ(Counted::constructed - Counted::destroyed, 2);
+    rb.clear();
+    EXPECT_EQ(Counted::constructed, Counted::destroyed);
+    rb.push(Counted(20));
+    rb.push(Counted(21));
+    EXPECT_EQ(Counted::constructed - Counted::destroyed, 2);
+  }
+  // Destruction releases the two elements still held.
+  EXPECT_EQ(Counted::constructed, Counted::destroyed);
+}
+
+std::vector<int> Concat(std::span<const int> a, std::span<const int> b) {
+  std::vector<int> out(a.begin(), a.end());
+  out.insert(out.end(), b.begin(), b.end());
+  return out;
+}
+
+TEST(RingBufferTest, RunsCoverTheContentsAcrossAWrap) {
+  RingBuffer<int> rb(4);
+  EXPECT_TRUE(rb.first_run().empty());
+  EXPECT_TRUE(rb.second_run().empty());
+  rb.push(1);
+  rb.push(2);
+  rb.push(3);
+  EXPECT_EQ(rb.first_run().size(), 3u);
+  EXPECT_TRUE(rb.second_run().empty());
+  for (int i = 4; i <= 6; ++i) {
+    rb.push_overwrite(i);  // 3..6 retained; 5 and 6 wrap to the front
+  }
+  EXPECT_EQ(rb.first_run().size(), 2u);
+  EXPECT_EQ(rb.second_run().size(), 2u);
+  EXPECT_EQ(Concat(rb.first_run(), rb.second_run()), (std::vector<int>{3, 4, 5, 6}));
+  for (size_t i = 0; i < rb.size(); ++i) {
+    EXPECT_EQ(Concat(rb.first_run(), rb.second_run())[i], rb.at(i)) << i;
+  }
+  // Runs alias the ring's storage: the first run starts at the front slot.
+  EXPECT_EQ(rb.first_run().data(), &rb.front());
 }
 
 }  // namespace

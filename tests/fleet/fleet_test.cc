@@ -163,7 +163,9 @@ TEST(FleetTest, SustainsAThousandInstances) {
   opt.seed = 7;
   opt.run_duration = Milliseconds(5);
   opt.slice = Milliseconds(1);
-  opt.trace_capacity = 2048;
+  // A node records a few hundred events in 5 ms, so this ring wraps on
+  // every node and the run exercises the counted-degradation path.
+  opt.trace_capacity = 128;
   FleetResult result = RunFleet(opt);
   ASSERT_EQ(result.nodes.size(), 1000u);
   EXPECT_EQ(result.nodes_failed, 0) << [&] {
@@ -178,6 +180,34 @@ TEST(FleetTest, SustainsAThousandInstances) {
   for (const NodeResult& node : result.nodes) {
     EXPECT_GE(node.virtual_time, Milliseconds(5));
   }
+  // The ring wraps on every node: the loss is counted per node and
+  // summed, the worst offender is named, and no oracle mistakes the
+  // truncated window for a failure.
+  uint64_t dropped = 0;
+  for (size_t i = 0; i < result.nodes.size(); ++i) {
+    EXPECT_GT(result.nodes[i].trace_dropped, 0u) << "node " << i;
+    dropped += result.nodes[i].trace_dropped;
+  }
+  EXPECT_EQ(result.trace_dropped_total, dropped);
+  ASSERT_GE(result.trace_dropped_worst_node, 0);
+  EXPECT_EQ(result.trace_dropped_worst,
+            result.nodes[static_cast<size_t>(result.trace_dropped_worst_node)].trace_dropped);
+  // The wrapped window reads through the scratch copy; a serial replay of a
+  // sampled node digests it identically.
+  const int sample = 613;
+  NodeResult replay = InspectNode(opt, sample, nullptr);
+  EXPECT_EQ(replay.trace_digest, result.nodes[sample].trace_digest);
+  EXPECT_EQ(replay.trace_dropped, result.nodes[sample].trace_dropped);
+}
+
+TEST(FleetTest, NodeTraceCapacityRetainsTheWholeRunByDefault) {
+  FleetOptions opt;
+  opt.run_duration = Milliseconds(250);
+  EXPECT_EQ(NodeTraceCapacity(opt), 4096u + 1536u * 250u);
+  opt.run_duration = Seconds(1);
+  EXPECT_EQ(NodeTraceCapacity(opt), 4096u + 1536u * 1000u);
+  opt.trace_capacity = 2048;
+  EXPECT_EQ(NodeTraceCapacity(opt), 2048u);
 }
 
 // --- Streaming timeseries + alerting plane ---

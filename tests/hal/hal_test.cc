@@ -2,6 +2,8 @@
 // cost model, trace sink.
 
 #include <cstdio>
+#include <fstream>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -400,6 +402,78 @@ TEST(TraceSinkTest, DumpNotesDroppedEvents) {
   std::string text = ReadAll(f);
   std::fclose(f);
   EXPECT_NE(text.find("3 of 5 events dropped"), std::string::npos) << text;
+}
+
+TEST(TraceSinkTest, WindowOfAnUnwrappedRingIsTheRingItself) {
+  TraceSink sink(8);
+  FillSink(sink, 5);
+  std::vector<TraceEvent> scratch;
+  std::span<const TraceEvent> window = sink.Window(&scratch);
+  ASSERT_EQ(window.size(), 5u);
+  EXPECT_EQ(window.data(), &sink.at(0));
+  EXPECT_TRUE(scratch.empty());
+}
+
+TEST(TraceSinkTest, WindowOfAWrappedRingMatchesAt) {
+  TraceSink sink(4);
+  FillSink(sink, 11);
+  std::vector<TraceEvent> scratch;
+  std::span<const TraceEvent> window = sink.Window(&scratch);
+  ASSERT_EQ(window.size(), sink.size());
+  EXPECT_EQ(window.data(), scratch.data());
+  for (size_t i = 0; i < sink.size(); ++i) {
+    EXPECT_EQ(window[i].time, sink.at(i).time) << i;
+    EXPECT_EQ(window[i].arg1, sink.at(i).arg1) << i;
+  }
+  EXPECT_EQ(window.front().arg1, 7);
+  EXPECT_EQ(window.back().arg1, 10);
+}
+
+TEST(TraceSinkTest, WindowOfADisabledSinkIsEmpty) {
+  TraceSink sink(0);
+  FillSink(sink, 3);
+  std::vector<TraceEvent> scratch;
+  EXPECT_TRUE(sink.Window(&scratch).empty());
+  EXPECT_TRUE(scratch.empty());
+  EXPECT_EQ(sink.dropped(), 3u);
+}
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kShadowingSanitizer = true;
+#elif defined(__has_feature)
+constexpr bool kShadowingSanitizer =
+    __has_feature(address_sanitizer) || __has_feature(thread_sanitizer);
+#else
+constexpr bool kShadowingSanitizer = false;
+#endif
+
+// Resident set size of this process in kB, or -1 where /proc is missing.
+long ResidentKb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmRSS:", 0) == 0) {
+      return std::stol(line.substr(6));
+    }
+  }
+  return -1;
+}
+
+// A ring commits only the slots it writes: a 4M-slot sink (96 MB of address
+// space) holding 1000 events must stay far below its full size in RSS.
+TEST(TraceSinkTest, UnwrittenSlotsStayUncommitted) {
+  if (kShadowingSanitizer) {
+    GTEST_SKIP() << "sanitizer shadow memory distorts RSS";
+  }
+  long before = ResidentKb();
+  if (before < 0) {
+    GTEST_SKIP() << "no /proc/self/status VmRSS on this platform";
+  }
+  TraceSink sink(size_t{4} << 20);
+  FillSink(sink, 1000);
+  long after = ResidentKb();
+  EXPECT_EQ(sink.size(), 1000u);
+  EXPECT_LT(after - before, 4 * 1024) << "RSS grew from " << before << " kB to " << after;
 }
 
 }  // namespace
