@@ -750,12 +750,13 @@ void Kernel::FinishComputeDrain(Tcb& t) {
 
 bool Kernel::ServiceDrains() {
   bool serviced = false;
-  for (int c = 0; c < config_.num_cores; ++c) {
+  for (int c = 0; c < config_.num_cores && drains_pending_ > 0; ++c) {
     CoreState& cs = *cores_[c];
     if (!cs.drain_pending) {
       continue;
     }
     cs.drain_pending = false;
+    --drains_pending_;
     Tcb* t = cs.current;
     if (t != nullptr && t->remaining_compute.is_zero()) {
       ScopedActiveCore active(*this, c);
@@ -783,7 +784,7 @@ void Kernel::AdvanceWorld(Duration amount) {
       stats_.core_cycles[c].Add(CycleBucket::kUser, amount);
       any_user = true;
       if (t->remaining_compute.is_zero()) {
-        cs.drain_pending = true;
+        MarkDrainPending(cs);
       }
     } else {
       stats_.idle_time += amount;
@@ -815,7 +816,7 @@ void Kernel::MirrorAdvance(Duration amount) {
         // Never finish the drain inline: MirrorAdvance runs under a charge
         // mid-syscall (FinishState{Write,Read} recursion hazard); the
         // executive services the flag at a safe point.
-        cs.drain_pending = true;
+        MarkDrainPending(cs);
       }
     }
     Duration idle = amount - overlap;

@@ -239,6 +239,10 @@ class Kernel {
   void ResumeThread(Tcb& t);
   void FinishComputeDrain(Tcb& t);
   bool ServiceDrains();
+  void MarkDrainPending(CoreState& cs) {
+    drains_pending_ += cs.drain_pending ? 0 : 1;
+    cs.drain_pending = true;
+  }
   // Advances every core in lockstep by `amount`: cores whose current thread
   // is mid-compute burn user time, the rest burn idle time.
   void AdvanceWorld(Duration amount);
@@ -358,6 +362,8 @@ class Kernel {
   // kernel is currently acting for (0 in ISR/host context).
   std::vector<std::unique_ptr<CoreState>> cores_;
   int active_core_ = 0;
+  // Cores with drain_pending set, so ServiceDrains skips the walk when none.
+  int drains_pending_ = 0;
 
   std::vector<std::unique_ptr<Process>> processes_;
   std::vector<std::unique_ptr<Tcb>> threads_;

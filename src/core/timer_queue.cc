@@ -1,6 +1,7 @@
 #include "src/core/timer_queue.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "src/base/assert.h"
 
@@ -52,6 +53,7 @@ void TimerQueue::FileIntoWheel(SoftTimer& timer) {
   }
   int slot = static_cast<int>((tick >> (kSlotBits * level)) & (kSlots - 1));
   levels_[level][slot].push_back(timer);
+  occupied_[level] |= uint64_t{1} << slot;
   timer.queue_loc = static_cast<int8_t>(level);
   timer.wheel_slot = static_cast<uint8_t>(slot);
 }
@@ -101,11 +103,16 @@ void TimerQueue::Remove(SoftTimer& timer) {
     case kLocDue:
       due_.erase(timer);
       break;
-    default:
+    default: {
       EM_ASSERT_MSG(timer.queue_loc >= 0 && timer.queue_loc < kLevels,
                     "timer in no queue location");
-      levels_[timer.queue_loc][timer.wheel_slot].erase(timer);
+      SoftTimerList& bucket = levels_[timer.queue_loc][timer.wheel_slot];
+      bucket.erase(timer);
+      if (bucket.empty()) {
+        occupied_[timer.queue_loc] &= ~(uint64_t{1} << timer.wheel_slot);
+      }
       break;
+    }
   }
   timer.queue_loc = kLocNone;
   --size_;
@@ -116,24 +123,23 @@ void TimerQueue::Remove(SoftTimer& timer) {
 }
 
 SoftTimer* TimerQueue::LevelMin(int level) {
-  // Scan the level's slots starting at the base cursor. Filing guarantees
-  // every resident's tick t satisfies base <= t < base + LevelSpan(level), so
-  // t >> (kSlotBits * level) is either the scan position's absolute slot
-  // number ("unwrapped") or exactly kSlots past it ("wrapped"). Unwrapped
-  // entries at scan position i expire strictly before every unwrapped entry
-  // at position j > i and before every wrapped entry anywhere, so the scan
-  // can stop at the first slot holding an unwrapped entry; wrapped entries
-  // seen along the way are only candidates if no unwrapped entry exists.
+  // Scan the level's occupied slots starting at the base cursor. Filing
+  // guarantees every resident's tick t satisfies base <= t < base +
+  // LevelSpan(level), so t >> (kSlotBits * level) is either the scan
+  // position's absolute slot number ("unwrapped") or exactly kSlots past it
+  // ("wrapped"). Unwrapped entries at scan position i expire strictly before
+  // every unwrapped entry at position j > i and before every wrapped entry
+  // anywhere, so the scan can stop at the first slot holding an unwrapped
+  // entry; wrapped entries seen along the way are only candidates if no
+  // unwrapped entry exists. Rotating the occupancy word by the cursor makes
+  // bit i the slot i positions past it, so set bits come out in scan order.
   SoftTimer* best_unwrapped = nullptr;
   SoftTimer* best_wrapped = nullptr;
   uint64_t cursor = base_tick_ >> (kSlotBits * level);
-  for (int i = 0; i < kSlots; ++i) {
-    uint64_t abs_slot = cursor + static_cast<uint64_t>(i);
-    SoftTimerList& bucket = levels_[level][abs_slot & (kSlots - 1)];
-    if (bucket.empty()) {
-      continue;
-    }
-    for (SoftTimer& t : bucket) {
+  uint64_t ahead = std::rotr(occupied_[level], static_cast<int>(cursor & (kSlots - 1)));
+  for (; ahead != 0 && best_unwrapped == nullptr; ahead &= ahead - 1) {
+    uint64_t abs_slot = cursor + static_cast<uint64_t>(std::countr_zero(ahead));
+    for (SoftTimer& t : levels_[level][abs_slot & (kSlots - 1)]) {
       if ((TickOf(t.expiry) >> (kSlotBits * level)) == abs_slot) {
         if (best_unwrapped == nullptr || Before(t, *best_unwrapped)) {
           best_unwrapped = &t;
@@ -141,9 +147,6 @@ SoftTimer* TimerQueue::LevelMin(int level) {
       } else if (best_wrapped == nullptr || Before(t, *best_wrapped)) {
         best_wrapped = &t;
       }
-    }
-    if (best_unwrapped != nullptr) {
-      break;
     }
   }
   return best_unwrapped != nullptr ? best_unwrapped : best_wrapped;
@@ -183,6 +186,7 @@ void TimerQueue::Clear() {
     for (int slot = 0; slot < kSlots; ++slot) {
       levels_[level][slot].clear();
     }
+    occupied_[level] = 0;
   }
   size_ = 0;
   cached_min_ = nullptr;

@@ -12,8 +12,9 @@
 //     coarser), an ordered overflow list for expiries beyond the outermost
 //     level's span (~275 s), and an ordered "due" list for the rare arm whose
 //     expiry tick is already behind the wheel base. Arm and cancel are O(1);
-//     Min() is O(1) while the cached minimum is valid and O(kLevels * kSlots +
-//     bucket occupancy) to recompute after the minimum is removed.
+//     Min() is O(1) while the cached minimum is valid. A recompute after the
+//     minimum is removed costs O(occupied slots visited + bucket occupancy):
+//     one occupancy word per level lets the scan skip empty slots.
 //
 // The determinism contract: Min() returns the exact global minimum by
 // (expiry, arm_seq) — never an approximation — so the kernel programs the
@@ -117,6 +118,7 @@ class TimerQueue {
   // moves, pulling overflow timers into the levels as their horizon nears.
   uint64_t base_tick_ = 0;
   SoftTimerList levels_[kLevels][kSlots];
+  uint64_t occupied_[kLevels] = {};  // bit s set <=> levels_[level][s] non-empty
   SoftTimerList overflow_;  // expiry-ordered, beyond LevelSpan(kLevels - 1)
   SoftTimerList due_;       // expiry-ordered, tick already behind base_tick_
 };

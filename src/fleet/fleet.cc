@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "src/base/arena.h"
@@ -314,8 +315,23 @@ void EvaluateNode(Node& node, const FleetOptions& opt) {
   }
 }
 
-// EvaluateNode plus teardown. Runs on the pool worker that executed the
-// node's final slice.
+// Runs a built node to its horizon in `opt.slice` steps, draining the
+// streaming collector at every slice boundary: the window series
+// materializes while the fleet runs, and the drain schedule is part of the
+// node's deterministic replay contract, so RunFleet and InspectNode share
+// this loop (the virtual outcome itself is slice-invariant; the drain
+// schedule is not). Read-only on the kernel, so the digest cannot move.
+void RunNodeSlices(Node& node, const FleetOptions& opt) {
+  Kernel& kernel = *node.kernel;
+  while (kernel.now() < node.end) {
+    kernel.RunUntil(std::min(node.end, kernel.now() + opt.slice));
+    if (node.ts != nullptr) {
+      node.ts->Collect(kernel);
+    }
+  }
+}
+
+// EvaluateNode plus teardown, on the pool worker that ran the node.
 void FinishNode(Node& node, const FleetOptions& opt) {
   EvaluateNode(node, opt);
   node.ts.reset();
@@ -373,33 +389,16 @@ FleetResult RunFleet(const FleetOptions& options) {
   {
     ThreadPool pool(opt.workers);
     resolved_workers = pool.worker_count();
-    // Node slices re-enqueue themselves until the node's virtual horizon;
-    // construction happens on the pool too, so a large fleet boots in
-    // parallel. `step` outlives every task because pool.Wait() (via the
-    // pool's scoped destruction) covers transitively submitted work.
-    std::function<void(int)> step = [&](int index) {
-      Node& node = *nodes[static_cast<size_t>(index)];
-      if (node.kernel == nullptr) {
-        BuildNode(node, opt, index);
-      }
-      Kernel& kernel = *node.kernel;
-      Instant target = std::min(node.end, kernel.now() + opt.slice);
-      kernel.RunUntil(target);
-      if (node.ts != nullptr) {
-        // Drain the snapshot ring at every slice boundary: the window series
-        // materializes while the fleet runs, and the drain schedule is part
-        // of the node's deterministic replay contract (InspectNode mirrors
-        // it). Read-only on the kernel, so the digest cannot move.
-        node.ts->Collect(kernel);
-      }
-      if (kernel.now() < node.end) {
-        pool.Submit([&step, index] { step(index); });
-      } else {
-        FinishNode(node, opt);
-      }
-    };
+    // One task per node: build, run every slice, evaluate and tear down on
+    // one worker. Construction happens on the pool too, so a large fleet
+    // boots in parallel; idle workers steal whole nodes.
     for (int i = 0; i < opt.instances; ++i) {
-      pool.Submit([&step, i] { step(i); });
+      pool.Submit([&nodes, &opt, i] {
+        Node& node = *nodes[static_cast<size_t>(i)];
+        BuildNode(node, opt, i);
+        RunNodeSlices(node, opt);
+        FinishNode(node, opt);
+      });
     }
     pool.Wait();
   }
@@ -416,7 +415,7 @@ FleetResult RunFleet(const FleetOptions& options) {
   out.nodes.reserve(nodes.size());
   uint64_t digest = kFnv1aOffset;
   for (size_t i = 0; i < nodes.size(); ++i) {
-    const NodeResult& r = nodes[i]->result;
+    NodeResult& r = nodes[i]->result;
     out.events_total += r.events;
     out.jobs_completed += r.jobs_completed;
     out.deadline_misses += r.deadline_misses;
@@ -439,7 +438,7 @@ FleetResult RunFleet(const FleetOptions& options) {
     out.blame.Merge(r.blame);
     out.postmortem_incomplete_total += r.postmortem_incomplete;
     digest = Fnv1a(digest, &r.trace_digest, sizeof(r.trace_digest));
-    out.nodes.push_back(r);
+    out.nodes.push_back(std::move(r));  // last read of the node's result
   }
   out.fleet_digest = digest;
   out.blame_digest = out.blame.Digest();
@@ -540,17 +539,7 @@ NodeResult InspectNode(const FleetOptions& options, int index,
   }
   Node node(opt.arena_bytes);
   BuildNode(node, opt, index);
-  // Slice-stepped exactly like the fleet run — not one shot — so the
-  // streaming collector drains at the same instants and the replayed window
-  // series and alert stream are bit-identical to what the fleet saw (the
-  // virtual outcome itself is slice-invariant; the drain schedule is not).
-  while (node.kernel->now() < node.end) {
-    Instant target = std::min(node.end, node.kernel->now() + opt.slice);
-    node.kernel->RunUntil(target);
-    if (node.ts != nullptr) {
-      node.ts->Collect(*node.kernel);
-    }
-  }
+  RunNodeSlices(node, opt);
   EvaluateNode(node, opt);
   if (visit) {
     visit(*node.kernel, node.result);

@@ -4,10 +4,11 @@
 // each its own Hardware + Kernel + seeded workload, arena-backed so a node's
 // top-level state lives in one contiguous block (cache-isolated from its
 // neighbors, torn down with a single Reset) — and drives them across a
-// work-stealing host thread pool. A node executes in virtual-time slices:
-// each slice is one pool task that advances the kernel by `slice` and
-// re-enqueues itself, so long-running nodes migrate freely between workers
-// and the pool stays balanced without any static partitioning.
+// work-stealing host thread pool. Each node is one pool task that builds
+// the node, advances it to its horizon in virtual-time slices of `slice`
+// (draining the streaming collector at every boundary), and evaluates it;
+// idle workers steal whole nodes, so the pool stays balanced without any
+// static partitioning.
 //
 // Determinism contract: a node's simulation depends only on (fleet seed,
 // node index, timer_queue impl). Host scheduling — worker count, steal
@@ -56,7 +57,7 @@ struct FleetOptions {
   // Host pool width; <= 0 uses std::thread::hardware_concurrency().
   int workers = 0;
   uint64_t seed = 1;
-  // Virtual time each node simulates, and the re-enqueue granularity.
+  // Virtual time each node simulates, and the slice between collector drains.
   Duration run_duration = Milliseconds(100);
   Duration slice = Milliseconds(5);
   // Timer fast-path under test; the whole point of the fleet bench.

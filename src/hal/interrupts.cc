@@ -1,28 +1,34 @@
 #include "src/hal/interrupts.h"
 
+#include <bit>
+
 namespace emeralds {
 
 void InterruptController::Attach(int line, IrqHandler handler, void* context) {
   CheckLine(line);
   lines_[line].handler = handler;
   lines_[line].context = context;
+  UpdateDeliverable(line);
 }
 
 void InterruptController::Detach(int line) {
   CheckLine(line);
   lines_[line].handler = nullptr;
   lines_[line].context = nullptr;
+  UpdateDeliverable(line);
 }
 
 void InterruptController::Raise(int line) {
   CheckLine(line);
   lines_[line].pending = true;
   ++lines_[line].raised;
+  UpdateDeliverable(line);
 }
 
 void InterruptController::SetEnabled(int line, bool enabled) {
   CheckLine(line);
   lines_[line].enabled = enabled;
+  UpdateDeliverable(line);
 }
 
 bool InterruptController::enabled(int line) const {
@@ -35,32 +41,27 @@ bool InterruptController::pending(int line) const {
   return lines_[line].pending;
 }
 
-bool InterruptController::AnyDeliverable() const {
-  if (!global_enable_) {
-    return false;
-  }
-  for (const Line& line : lines_) {
-    if (line.pending && line.enabled && line.handler != nullptr) {
-      return true;
-    }
-  }
-  return false;
+void InterruptController::UpdateDeliverable(int line) {
+  const Line& l = lines_[line];
+  uint32_t bit = uint32_t{1} << line;
+  deliverable_ = (l.pending && l.enabled && l.handler != nullptr) ? deliverable_ | bit
+                                                                  : deliverable_ & ~bit;
 }
 
 int InterruptController::DispatchPending() {
   int dispatched = 0;
-  bool progressed = true;
-  while (global_enable_ && progressed) {
-    progressed = false;
-    for (int i = 0; i < kNumIrqLines; ++i) {
+  while (global_enable_ && deliverable_ != 0) {
+    // One pass: lowest deliverable line first, re-reading the mask after each
+    // handler so a line it raises above the current one is served this pass.
+    for (uint32_t above = deliverable_; above != 0;) {
+      int i = std::countr_zero(above);
       Line& line = lines_[i];
-      if (line.pending && line.enabled && line.handler != nullptr) {
-        line.pending = false;
-        ++line.dispatched;
-        ++dispatched;
-        progressed = true;
-        line.handler(line.context, i);
-      }
+      line.pending = false;
+      deliverable_ &= ~(uint32_t{1} << i);
+      ++line.dispatched;
+      ++dispatched;
+      line.handler(line.context, i);
+      above = deliverable_ & ~((uint32_t{2} << i) - 1);
     }
   }
   return dispatched;

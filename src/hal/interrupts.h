@@ -4,6 +4,11 @@
 // handler per line and dispatches pending interrupts at interruptible points.
 // Raising a masked or already-pending line coalesces (level-triggered
 // semantics), matching typical single-chip controllers.
+//
+// The controller keeps a deliverable mask (bit i set <=> line i is pending,
+// enabled and has a handler), updated by every call that changes one of the
+// three, so the executive's per-iteration poll is one test rather than a
+// walk over all lines, and a dispatch pass visits only deliverable lines.
 
 #ifndef SRC_HAL_INTERRUPTS_H_
 #define SRC_HAL_INTERRUPTS_H_
@@ -45,11 +50,14 @@ class InterruptController {
   bool global_enable() const { return global_enable_; }
 
   bool pending(int line) const;
-  bool AnyDeliverable() const;
+  bool AnyDeliverable() const { return global_enable_ && deliverable_ != 0; }
 
   // Dispatches every deliverable pending interrupt (in line order, which
   // models fixed hardware priority). Returns the number dispatched. Handlers
-  // may raise further interrupts; those are picked up in the same pass.
+  // may raise further interrupts: a line above the one being served is
+  // picked up in the same pass, one at or below it in the next. The global
+  // enable is checked once per pass, so a handler that clears it stops only
+  // later passes.
   int DispatchPending();
 
   // Statistics.
@@ -59,6 +67,7 @@ class InterruptController {
  private:
   void CheckLine(int line) const { EM_ASSERT_MSG(line >= 0 && line < kNumIrqLines,
                                                  "bad IRQ line %d", line); }
+  void UpdateDeliverable(int line);
 
   struct Line {
     IrqHandler handler = nullptr;
@@ -70,6 +79,7 @@ class InterruptController {
   };
 
   Line lines_[kNumIrqLines];
+  uint32_t deliverable_ = 0;
   bool global_enable_ = true;
 };
 

@@ -25,7 +25,7 @@ TEST(ThreadPoolTest, WaitWithNothingSubmittedReturns) {
 }
 
 TEST(ThreadPoolTest, TasksCanSubmitTasks) {
-  // The fleet runner's pattern: a task re-enqueues the next slice of work.
+  // A task re-enqueues the next step of its work; Wait() covers the chain.
   ThreadPool pool(4);
   std::atomic<int> count{0};
   std::function<void(int)> chain = [&](int depth) {

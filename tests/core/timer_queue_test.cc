@@ -227,6 +227,55 @@ TEST(TimerQueueTest, WrapBoundaryAfterBaseAdvance) {
   EXPECT_FALSE(q.wheel_timers_[2].armed());
 }
 
+// The cursor's slot holds the only timer at the minimum; cancelling it must
+// hand Min() the timer in the next occupied slot in scan order, including
+// one whose slot index lies below the cursor (the scan wraps past slot 63).
+TEST(TimerQueueTest, CancelInCursorSlotFallsToNextOccupiedSlot) {
+  constexpr int64_t kGranule = 1024;
+  LockstepQueues q(4);
+  Instant now;
+  uint64_t seq = 0;
+  q.Arm(0, now + Nanoseconds(37 * kGranule), seq++, now);
+  now = now + Nanoseconds(41 * kGranule);
+  q.Service(now);  // empty again; the next arm moves the base to slot 41
+  q.Arm(1, now + Nanoseconds(1), seq++, now);                // slot 41
+  q.Arm(2, now + Nanoseconds(30 * kGranule), seq++, now);    // slot 7
+  q.Arm(3, now + Nanoseconds(5 * kGranule), seq++, now);     // slot 46
+  EXPECT_EQ(q.IndexOfWheel(q.wheel_.Min()), 1u);
+  q.Cancel(1);
+  EXPECT_EQ(q.IndexOfWheel(q.wheel_.Min()), 3u);
+  q.Cancel(3);
+  EXPECT_EQ(q.IndexOfWheel(q.wheel_.Min()), 2u);
+  q.Cancel(2);
+  EXPECT_EQ(q.wheel_.Min(), nullptr);
+}
+
+TEST(TimerQueueTest, ClearThenRearmMatchesReference) {
+  Rng rng(7);
+  constexpr size_t kTimers = 48;
+  LockstepQueues q(kTimers);
+  Instant now;
+  uint64_t seq = 0;
+  for (int round = 0; round < 4; ++round) {
+    for (size_t i = 0; i < kTimers; ++i) {
+      Duration d = Microseconds(static_cast<int64_t>(rng.Below(300000)));
+      q.Arm(i, now + d, seq++, now);
+    }
+    now = now + Microseconds(static_cast<int64_t>(rng.Below(50000)));
+    q.Service(now);
+    q.wheel_.Clear();
+    q.list_.Clear();
+    ASSERT_TRUE(q.wheel_.empty());
+    ASSERT_EQ(q.wheel_.Min(), nullptr);
+    // Re-arm into the cleared queues and drain them completely.
+    for (size_t i = 0; i < kTimers; i += 2) {
+      q.Arm(i, now + Microseconds(static_cast<int64_t>(rng.Below(300000))), seq++, now);
+    }
+    now = now + Milliseconds(400);
+    EXPECT_EQ(q.Service(now), static_cast<int>(kTimers / 2));
+  }
+}
+
 // Randomized variant of the boundary tests: every expiry is pinned to a wrap
 // boundary +/- one granule, so the whole schedule lives exactly where a
 // cascade bug would hide, under arm/cancel/service churn.

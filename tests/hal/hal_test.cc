@@ -187,6 +187,91 @@ TEST(InterruptControllerTest, UnattachedPendingNotDeliverable) {
   EXPECT_FALSE(ic.AnyDeliverable());
 }
 
+// Records each dispatch and, the first time `trigger` is served, runs
+// `action` against the controller from inside the handler.
+struct IrqScript {
+  InterruptController* ic = nullptr;
+  int trigger = -1;
+  void (*action)(InterruptController&) = nullptr;
+  std::vector<int> lines;
+  static void Handler(void* context, int line) {
+    auto* script = static_cast<IrqScript*>(context);
+    script->lines.push_back(line);
+    if (line == script->trigger) {
+      script->trigger = -1;
+      script->action(*script->ic);
+    }
+  }
+};
+
+TEST(InterruptControllerTest, HandlerRaisedLineAboveServedSamePassBelowNextPass) {
+  InterruptController ic;
+  IrqScript script{&ic, 5, [](InterruptController& c) {
+                     c.Raise(7);
+                     c.Raise(3);
+                   }};
+  for (int line : {3, 5, 6, 7}) {
+    ic.Attach(line, &IrqScript::Handler, &script);
+  }
+  ic.Raise(5);
+  ic.Raise(6);
+  // Pass 1 serves 5, 6 and the newly raised 7; line 3 waits for pass 2.
+  EXPECT_EQ(ic.DispatchPending(), 4);
+  EXPECT_EQ(script.lines, (std::vector<int>{5, 6, 7, 3}));
+  EXPECT_FALSE(ic.AnyDeliverable());
+}
+
+TEST(InterruptControllerTest, DetachOfPendingLineMakesItUndeliverable) {
+  InterruptController ic;
+  IrqRecorder rec;
+  ic.Attach(4, &IrqRecorder::Handler, &rec);
+  ic.Raise(4);
+  EXPECT_TRUE(ic.AnyDeliverable());
+  ic.Detach(4);
+  EXPECT_TRUE(ic.pending(4));
+  EXPECT_FALSE(ic.AnyDeliverable());
+  EXPECT_EQ(ic.DispatchPending(), 0);
+  ic.Attach(4, &IrqRecorder::Handler, &rec);
+  EXPECT_TRUE(ic.AnyDeliverable());
+  EXPECT_EQ(ic.DispatchPending(), 1);
+  EXPECT_EQ(rec.lines, (std::vector<int>{4}));
+}
+
+TEST(InterruptControllerTest, MaskingPendingLineThenUnmaskingDelivers) {
+  InterruptController ic;
+  IrqRecorder rec;
+  ic.Attach(9, &IrqRecorder::Handler, &rec);
+  ic.Raise(9);
+  ic.SetEnabled(9, false);
+  EXPECT_FALSE(ic.AnyDeliverable());
+  EXPECT_EQ(ic.DispatchPending(), 0);
+  ic.SetEnabled(9, true);
+  EXPECT_TRUE(ic.AnyDeliverable());
+  EXPECT_EQ(ic.DispatchPending(), 1);
+  EXPECT_EQ(rec.lines, (std::vector<int>{9}));
+}
+
+TEST(InterruptControllerTest, HandlerClearingGlobalEnableFinishesCurrentPass) {
+  InterruptController ic;
+  IrqScript script{&ic, 2, [](InterruptController& c) {
+                     c.SetGlobalEnable(false);
+                     c.Raise(1);
+                   }};
+  for (int line : {1, 2, 9}) {
+    ic.Attach(line, &IrqScript::Handler, &script);
+  }
+  ic.Raise(2);
+  ic.Raise(9);
+  // The pass that cleared the enable still serves 9; line 1 needs a new pass.
+  EXPECT_EQ(ic.DispatchPending(), 2);
+  EXPECT_EQ(script.lines, (std::vector<int>{2, 9}));
+  EXPECT_TRUE(ic.pending(1));
+  EXPECT_FALSE(ic.AnyDeliverable());
+  ic.SetGlobalEnable(true);
+  EXPECT_EQ(ic.DispatchPending(), 1);
+  EXPECT_EQ(script.lines, (std::vector<int>{2, 9, 1}));
+}
+
 TEST(CostModelTest, Table1EdfFits) {
   CostModel m = CostModel::MC68040_25MHz();
   // t_b = 1.6, t_u = 1.2, t_s = 1.2 + 0.25 n.
