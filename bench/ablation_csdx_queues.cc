@@ -15,8 +15,8 @@
 #include <vector>
 
 #include "src/analysis/breakdown.h"
-#include "src/analysis/parallel.h"
 #include "src/base/rng.h"
+#include "src/base/thread_pool.h"
 #include "src/workload/workload.h"
 
 int main() {
@@ -39,9 +39,10 @@ int main() {
   };
 
   Rng root(555);
+  ThreadPool pool;
   for (int n : {20, 30, 40, 50}) {
     std::vector<Row> results(workloads);
-    ParallelFor(workloads, [&](int w) {
+    pool.ParallelFor(workloads, [&](int64_t w) {
       Rng rng = root.Fork(static_cast<uint64_t>(n) * 100 + w);
       TaskSet set = GenerateWorkload(rng, n).PeriodsDividedBy(3);
       BreakdownResult prev;

@@ -380,7 +380,7 @@ int CheckFuzzTorture(const char* path, const JsonValue& root) {
       std::fprintf(stderr, "FAIL: run missing reconciliation {checked, ok}\n");
       return 1;
     }
-    // Fourth oracle: the cycle ledger must be conserved on every run,
+    // Cycle conservation: the cycle ledger must be conserved on every run,
     // including truncated-ring ones where reconciliation refuses to check.
     const JsonValue* cyc = run.Find("cycles");
     const JsonValue* conserved = cyc != nullptr ? cyc->Find("conserved") : nullptr;
@@ -393,8 +393,8 @@ int CheckFuzzTorture(const char* path, const JsonValue& root) {
                    run.Find("seed")->number);
       return 1;
     }
-    // Fifth oracle: causal-token conservation. Every run must carry the
-    // chains object and report zero conservation violations.
+    // Causal-token conservation: every run must carry the chains object and
+    // report zero conservation violations.
     const JsonValue* chains = run.Find("chains");
     if (chains == nullptr ||
         !RequireNumbers(*chains, "chains", {"violations", "orphan_hops", "completed", "origins"})) {
@@ -406,8 +406,8 @@ int CheckFuzzTorture(const char* path, const JsonValue& root) {
                    run.Find("seed")->number);
       return 1;
     }
-    // Sixth oracle: conservation of lateness. Every analyzed miss's ledger
-    // must telescope exactly; a single failed ledger fails the sweep.
+    // Conservation of lateness: every analyzed miss's ledger must telescope
+    // exactly; a single failed ledger fails the sweep.
     const JsonValue* pm = run.Find("postmortem");
     if (pm == nullptr ||
         !RequireNumbers(*pm, "postmortem",

@@ -6,7 +6,7 @@
 // power-of-two buckets — no heap, O(1) insert — sized so bucket 0 holds
 // sub-microsecond samples and the last bucket everything from ~2.3 minutes
 // up. It lives in base (not obs) because KernelStats embeds histograms for
-// the snapshot ring; src/obs/histogram.h forwards the old name.
+// the snapshot ring.
 
 #ifndef SRC_BASE_LOG2_HISTOGRAM_H_
 #define SRC_BASE_LOG2_HISTOGRAM_H_

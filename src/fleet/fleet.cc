@@ -14,10 +14,7 @@
 #include "src/base/thread_pool.h"
 #include "src/core/kernel.h"
 #include "src/obs/blackbox.h"
-#include "src/obs/chains.h"
-#include "src/obs/obs_report.h"
-#include "src/obs/postmortem.h"
-#include "src/obs/trace_analyzer.h"
+#include "src/obs/trace_replay.h"
 
 namespace emeralds {
 namespace fleet {
@@ -108,7 +105,7 @@ void BuildNode(Node& node, const FleetOptions& opt, int index) {
 
   // Declared causal chains: the timer's tick into the pacer, and the
   // producer's release through the mailbox. Both carry SLOs so the fleet
-  // report aggregates overruns, and both feed oracle 4.
+  // report aggregates overruns, and both feed the causal-token oracle.
   {
     ChainSpec tick;
     tick.name = "tick";
@@ -214,10 +211,10 @@ void BuildNode(Node& node, const FleetOptions& opt, int index) {
   node.end = Instant() + opt.run_duration;
 }
 
-// Applies the six per-node oracles, scores the anomaly triage, and (when
-// enabled) collects the node's telemetry block. Pure read of kernel state:
-// the virtual clock has already reached its horizon, so nothing here can
-// perturb the simulated outcome or its digest.
+// Applies the shared node oracles plus the progress oracle, scores the
+// anomaly triage, and (when enabled) collects the node's telemetry block.
+// Pure read of kernel state: the virtual clock has already reached its
+// horizon, so nothing here can perturb the simulated outcome or its digest.
 void EvaluateNode(Node& node, const FleetOptions& opt) {
   Kernel& kernel = *node.kernel;
   NodeResult& r = node.result;
@@ -230,51 +227,23 @@ void EvaluateNode(Node& node, const FleetOptions& opt) {
   r.headroom_low_events = s.headroom_low_events;
   r.virtual_time = kernel.now() - Instant();
   r.trace_dropped = kernel.trace().dropped();
-  // One read of the retained window feeds the digest and all three
-  // analyzers; it is the ring's own storage unless the ring wrapped.
+  // One read of the retained window feeds the digest and the oracles; it is
+  // the ring's own storage unless the ring wrapped.
   std::vector<TraceEvent> scratch;
   std::span<const TraceEvent> window = kernel.trace().Window(&scratch);
   r.trace_digest = DigestNode(kernel, window);
 
-  obs::TraceAnalysis analysis = obs::AnalyzeTrace(window.data(), window.size(), r.trace_dropped);
-  obs::Reconciliation reconciliation = obs::ComputeReconciliation(analysis, s);
-  obs::ChainAnalysis chains = obs::AnalyzeChains(window.data(), window.size(), r.trace_dropped,
-                                                 kernel.resolved_chains());
-  for (const obs::ChainReport& c : chains.chains) {
+  obs::NodeOracles oracles = obs::RunNodeOracles(kernel, window, r.trace_dropped);
+  for (const obs::ChainReport& c : oracles.chains.chains) {
     r.chain_completed += c.completed;
     r.chain_overruns += c.overruns;
   }
-  obs::PostmortemAnalysis postmortem =
-      obs::AnalyzePostmortem(window.data(), window.size(), r.trace_dropped);
-  r.blame = postmortem.blame;
-  r.postmortem_incomplete = postmortem.incomplete_misses;
-  CycleConservation conservation = CheckCycleConservation(s, kernel.now());
-  int64_t unattributed =
-      kernel.hardware().clock().ledger().at(CycleBucket::kUnattributed).nanos();
-
-  if (!analysis.violations.empty()) {
-    r.failure = "trace invariant violated: " + analysis.violations[0].detail;
-  } else if (r.trace_dropped == 0 && (!reconciliation.checked || !reconciliation.ok())) {
-    r.failure = "reconciliation mismatch (trace vs kernel counters)";
-  } else if (r.trace_dropped > 0 && reconciliation.checked) {
-    r.failure = "reconciliation claimed a truncated trace was checked";
-  } else if (conservation.residual.nanos() != 0 || unattributed != 0) {
-    char buf[128];
-    std::snprintf(buf, sizeof(buf),
-                  "cycle conservation violated: residual %lld ns, unattributed %lld ns",
-                  static_cast<long long>(conservation.residual.nanos()),
-                  static_cast<long long>(unattributed));
-    r.failure = buf;
-  } else if (!chains.violations.empty()) {
-    r.failure = "chain token conservation: " + chains.violations[0].detail;
-  } else if (chains.complete_window && chains.orphan_hops > 0) {
-    r.failure = "chain token conservation: orphan hops in an untruncated trace";
-  } else if (r.jobs_completed == 0 || r.timer_dispatches == 0 || s.mailbox_sends == 0) {
+  r.blame = oracles.postmortem.blame;
+  r.postmortem_incomplete = oracles.postmortem.incomplete_misses;
+  r.failure = oracles.failure;
+  if (r.failure.empty() &&
+      (r.jobs_completed == 0 || r.timer_dispatches == 0 || s.mailbox_sends == 0)) {
     r.failure = "progress oracle: node wedged (no jobs, timers, or messages)";
-  } else if (postmortem.conservation_failures > 0 ||
-             (!postmortem.window_truncated &&
-              (postmortem.blame.unattributed_ns != 0 || postmortem.unmatched_misses > 0))) {
-    r.failure = "lateness conservation: a miss ledger failed to telescope";
   }
 
   // Anomaly triage score: deterministic integer badness. Oracle failures
@@ -295,7 +264,7 @@ void EvaluateNode(Node& node, const FleetOptions& opt) {
   }
 
   if (opt.telemetry) {
-    r.telemetry = obs::CollectNodeTelemetry(kernel, analysis, chains);
+    r.telemetry = obs::CollectNodeTelemetry(kernel, oracles.trace, oracles.chains);
   }
 
   // Streaming plane: close the window series at the horizon (synthesizing

@@ -16,20 +16,10 @@
 // the whole FleetResult (per-node digests included) is bit-identical across
 // runs, worker counts, and machines. Tests enforce this.
 //
-// Per-node oracles, mirroring the torture harness (the syscall fault oracle
-// is torture-specific; the fleet adds a progress oracle in its place):
-//   1. obs::AnalyzeTrace reports zero structural invariant violations;
-//   2. obs::ComputeReconciliation agrees with the kernel's counters on an
-//      untruncated trace, and refuses to check a truncated one;
-//   3. the cycle-attribution ledger conserves exactly (bucket sum == elapsed
-//      virtual time; no unattributed clock advance);
-//   4. causal-token conservation over the declared chains (zero chain
-//      violations; zero orphan hops when the window is complete);
-//   5. progress: the node completed jobs, dispatched timers, and consumed
-//      mailbox traffic — a silently wedged node is a failure, not a fast run;
-//   6. lateness conservation: every analyzed deadline miss carries a blame
-//      ledger that telescopes exactly to completion - release, and a complete
-//      window leaves zero nanoseconds unattributed.
+// Per-node oracles: the shared suite of obs::RunNodeOracles
+// (src/obs/trace_replay.h), then the fleet's own progress oracle — the node
+// completed jobs, dispatched timers, and consumed mailbox traffic, so a
+// silently wedged node is a failure, not a fast run.
 
 #ifndef SRC_FLEET_FLEET_H_
 #define SRC_FLEET_FLEET_H_
@@ -117,7 +107,7 @@ struct NodeResult {
   uint64_t headroom_low_events = 0;
   Duration virtual_time;
   size_t arena_high_water = 0;
-  // First failing oracle in human-readable form; empty when all six pass.
+  // First failing oracle in human-readable form; empty when all pass.
   std::string failure;
   // Deadline-miss postmortem: this node's blame ledger totals (mergeable,
   // keyed by thread/semaphore ids) plus the misses still open at the horizon.

@@ -40,12 +40,12 @@ void Gauge(std::string* out, const char* name, const char* help, double value) {
 // Log2Histogram as an OpenMetrics histogram family: cumulative le buckets at
 // the power-of-two upper edges (microseconds), +Inf, _sum, _count.
 void Histogram(std::string* out, const char* name, const char* help,
-               const obs::Log2Histogram& h) {
+               const Log2Histogram& h) {
   Line(out, "# TYPE %s histogram", name);
   Line(out, "# HELP %s %s", name, help);
   uint64_t cumulative = 0;
   int highest = h.HighestBucket();
-  for (int i = 0; i < obs::Log2Histogram::kNumBuckets - 1 && i <= highest; ++i) {
+  for (int i = 0; i < Log2Histogram::kNumBuckets - 1 && i <= highest; ++i) {
     cumulative += h.bucket(i);
     Line(out, "%s_bucket{le=\"%lld\"} %" PRIu64, name,
          static_cast<long long>(int64_t{1} << (i + 1)), cumulative);
@@ -111,8 +111,8 @@ std::string BuildOpenMetricsExposition(const FleetResult& result) {
   }
 
   // Merged streaming histograms (whole-run: the window series telescopes).
-  obs::Log2Histogram response;
-  obs::Log2Histogram chain_e2e;
+  Log2Histogram response;
+  Log2Histogram chain_e2e;
   for (const obs::TelemetryWindow& w : result.windows) {
     response.Merge(w.response);
     chain_e2e.Merge(w.chain_e2e);

@@ -11,8 +11,7 @@
 #include "src/core/kernel.h"
 #include "src/hal/hardware.h"
 #include "src/obs/blackbox.h"
-#include "src/obs/chains.h"
-#include "src/obs/postmortem.h"
+#include "src/obs/trace_replay.h"
 
 namespace emeralds {
 namespace fuzz {
@@ -368,14 +367,15 @@ void DriveTorture(const TortureOptions& opt, HarnessState* st, Finish finish) {
   config.num_cores = opt.num_cores;
   config.default_sem_mode = topo.Bernoulli(0.5) ? SemMode::kCse : SemMode::kStandard;
   // Sized so the default ring retains the whole run: overhead-span events
-  // roughly triple the trace volume, and oracle 6's zero-unattributed demand
-  // only binds on a complete window.
+  // roughly triple the trace volume, and lateness conservation's
+  // zero-unattributed demand only binds on a complete window.
   config.trace_capacity =
       opt.tiny_trace_ring ? 128 : std::max<size_t>(49152, static_cast<size_t>(opt.ops) * 96);
 
   // Declared causal chains across the fuzz topology: the chain analyzer
-  // reconstructs instances of these from the trace, and oracle 5 holds the
-  // token stream itself to conservation regardless of what resolves.
+  // reconstructs instances of these from the trace, and the causal-token
+  // oracle holds the token stream itself to conservation regardless of what
+  // resolves.
   {
     char irq_channel[16];
     std::snprintf(irq_channel, sizeof(irq_channel), "irq:%d", kIrqFieldbus);
@@ -573,40 +573,36 @@ TortureResult RunTorture(const TortureOptions& options) {
   result.seed = options.seed;
   HarnessState st;
   DriveTorture(options, &st, [&](Kernel& kernel) {
-    // One read of the retained window feeds the digest and the three
-    // trace analyzers; it is the ring's own storage unless the ring wrapped.
+    // One read of the retained window feeds the digest and the oracles; it
+    // is the ring's own storage unless the ring wrapped.
     const TraceSink& trace = kernel.trace();
     std::vector<TraceEvent> scratch;
     std::span<const TraceEvent> window = trace.Window(&scratch);
-    obs::TraceAnalysis analysis = obs::AnalyzeTrace(window.data(), window.size(), trace.dropped());
-    result.reconciliation = obs::ComputeReconciliation(analysis, kernel.stats());
-    result.violations = analysis.violations.size();
-
-    // Oracle 5: causal-token conservation (and declared-chain bookkeeping).
-    obs::ChainAnalysis chains = obs::AnalyzeChains(window.data(), window.size(), trace.dropped(),
-                                                   kernel.resolved_chains());
-    result.chain_violations = chains.violations.size();
-    result.chain_orphan_hops = chains.orphan_hops;
-    result.chain_origins = chains.origins_minted;
-    for (const obs::ChainReport& c : chains.chains) {
+    obs::NodeOracles oracles = obs::RunNodeOracles(kernel, window, trace.dropped());
+    result.violations = oracles.trace.violations.size();
+    result.reconciliation = oracles.reconciliation;
+    result.chain_violations = oracles.chains.violations.size();
+    result.chain_orphan_hops = oracles.chains.orphan_hops;
+    result.chain_origins = oracles.chains.origins_minted;
+    for (const obs::ChainReport& c : oracles.chains.chains) {
       result.chain_completed += c.completed;
     }
-    std::string first_chain_violation;
-    if (!chains.violations.empty()) {
-      first_chain_violation = chains.violations[0].detail;
-    } else if (chains.complete_window && chains.orphan_hops > 0) {
-      first_chain_violation = "orphan hops in an untruncated trace";
-    }
-    // Oracle 6: conservation of lateness. Every miss ledger telescopes by
-    // construction unless the engine mis-walked the trace; a complete window
-    // must additionally attribute every nanosecond and match every miss.
-    obs::PostmortemAnalysis postmortem =
-        obs::AnalyzePostmortem(window.data(), window.size(), trace.dropped());
+    const obs::PostmortemAnalysis& postmortem = oracles.postmortem;
     result.postmortem_misses = postmortem.misses_analyzed;
     result.postmortem_conservation_failures = postmortem.conservation_failures;
     result.postmortem_unattributed_ns = postmortem.blame.unattributed_ns;
     result.postmortem_unmatched = postmortem.unmatched_misses;
     result.postmortem_incomplete = postmortem.incomplete_misses;
+    // The summed residual, or the last failing core's own.
+    result.cycle_residual_ns = oracles.cycles.residual.nanos();
+    result.cycle_unattributed_ns = oracles.cycle_unattributed_ns;
+    result.cycles_conserved = oracles.cycles.exact() && result.cycle_unattributed_ns == 0;
+    for (const CycleConservation& per : oracles.core_cycles) {
+      if (!per.exact()) {
+        result.cycles_conserved = false;
+        result.cycle_residual_ns = per.residual.nanos();
+      }
+    }
 
     result.trace_retained = window.size();
     result.trace_dropped = trace.dropped();
@@ -614,54 +610,9 @@ TortureResult RunTorture(const TortureOptions& options) {
     result.virtual_time = kernel.now() - Instant();
     result.stats = kernel.stats();
 
-    // Oracle 4: cycle conservation. Stats-window exactness survives the
-    // mid-run charge resets (the epoch rebases with them), and the clock's
-    // unattributed bucket catches any advance that bypassed the kernel.
-    CycleConservation conservation = CheckCycleConservation(kernel.stats(), kernel.now());
-    result.cycle_residual_ns = conservation.residual.nanos();
-    result.cycle_unattributed_ns =
-        kernel.hardware().clock().ledger().at(CycleBucket::kUnattributed).nanos();
-    result.cycles_conserved = conservation.exact() && result.cycle_unattributed_ns == 0;
-    // On SMP the fleet-summed check above is necessary but not sufficient:
-    // each core's own ledger must also account for exactly the wall time
-    // since the epoch (a cross-core mischarge can cancel in the sum).
-    for (int c = 0; c < kernel.stats().num_cores; ++c) {
-      CycleConservation per = CheckCoreCycleConservation(kernel.stats(), c, kernel.now());
-      if (!per.exact()) {
-        result.cycles_conserved = false;
-        result.cycle_residual_ns = per.residual.nanos();
-      }
-    }
-
-    if (result.violations > 0) {
-      result.failure = "trace invariant violated: " + analysis.violations[0].detail;
-    } else if (st.fault_mismatches > 0) {
+    result.failure = oracles.failure;
+    if (result.failure.empty() && st.fault_mismatches > 0) {
       result.failure = "fault oracle: " + st.first_fault;
-    } else if (result.trace_dropped == 0 &&
-               (!result.reconciliation.checked || !result.reconciliation.ok())) {
-      result.failure = "reconciliation mismatch (trace vs kernel counters)";
-    } else if (result.trace_dropped > 0 && result.reconciliation.checked) {
-      result.failure = "reconciliation claimed a truncated trace was checked";
-    } else if (!result.cycles_conserved) {
-      char buf[128];
-      std::snprintf(buf, sizeof(buf),
-                    "cycle conservation violated: residual %lld ns, unattributed %lld ns",
-                    static_cast<long long>(result.cycle_residual_ns),
-                    static_cast<long long>(result.cycle_unattributed_ns));
-      result.failure = buf;
-    } else if (!first_chain_violation.empty()) {
-      result.failure = "chain token conservation: " + first_chain_violation;
-    } else if (result.postmortem_conservation_failures > 0 ||
-               (!postmortem.window_truncated &&
-                (result.postmortem_unattributed_ns != 0 || result.postmortem_unmatched > 0))) {
-      char buf[160];
-      std::snprintf(buf, sizeof(buf),
-                    "lateness conservation violated: %llu ledger(s) failed, "
-                    "unattributed %lld ns, %llu unmatched miss(es)",
-                    static_cast<unsigned long long>(result.postmortem_conservation_failures),
-                    static_cast<long long>(result.postmortem_unattributed_ns),
-                    static_cast<unsigned long long>(result.postmortem_unmatched));
-      result.failure = buf;
     }
   });
   result.ops_executed = st.executed;
@@ -671,13 +622,18 @@ TortureResult RunTorture(const TortureOptions& options) {
   return result;
 }
 
+void InspectTorture(const TortureOptions& options,
+                    const std::function<void(const Kernel&)>& visit) {
+  HarnessState st;
+  DriveTorture(options, &st, [&](Kernel& kernel) { visit(kernel); });
+}
+
 bool ExportTortureTraceCsv(const TortureOptions& options, const std::string& path) {
   std::FILE* out = std::fopen(path.c_str(), "w");
   if (out == nullptr) {
     return false;
   }
-  HarnessState st;
-  DriveTorture(options, &st, [&](Kernel& kernel) { kernel.trace().ExportCsv(out); });
+  InspectTorture(options, [&](const Kernel& kernel) { kernel.trace().ExportCsv(out); });
   std::fclose(out);
   return true;
 }
@@ -692,8 +648,7 @@ bool ExportTortureBlackBox(const TortureOptions& options, const TortureResult& r
     repro += "\n" + extra_repro;
   }
   bool ok = false;
-  HarnessState st;
-  DriveTorture(options, &st, [&](Kernel& kernel) {
+  InspectTorture(options, [&](const Kernel& kernel) {
     obs::BlackBoxSnapshot box = obs::CaptureBlackBox(
         kernel, label, result.failure.empty() ? "manual export" : result.failure, repro);
     ok = obs::WriteBlackBoxBundle(box, dir);

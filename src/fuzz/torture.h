@@ -11,28 +11,13 @@
 // deterministic, the same (seed, op budget) always produces bit-identical
 // traces; TortureResult::trace_digest makes that checkable in one compare.
 //
-// Six oracles run after every run:
-//   1. obs::AnalyzeTrace over the retained trace must report zero structural
-//      invariant violations (truncation-aware, so a deliberately tiny ring is
-//      a fault case, not a false positive);
-//   2. obs::ComputeReconciliation must agree with the kernel's own counters
-//      whenever the trace was not truncated — and must *refuse* to check
-//      (checked == false) when it was;
-//   3. every injected fault must come back with exactly the status the
-//      syscall contract promises (kBadHandle, kPermissionDenied, ...);
-//   4. the cycle-attribution ledger must conserve: bucket sum == elapsed
-//      virtual time since the charge epoch, exact to the tick, and no clock
-//      advance may bypass the kernel's charging paths. Unlike oracle 2 this
-//      is trace-independent, so it is enforced even on a truncated ring;
-//   5. causal-token conservation: obs::AnalyzeChains over the declared chain
-//      topology must report zero chain violations — every consumed token was
-//      emitted, hop counts advance by exactly one, origins are minted once.
-//      On a truncated ring orphan hops are tolerated (the emit predates the
-//      window) but malformed tokens still fail;
-//   6. conservation of lateness: obs::AnalyzePostmortem over every deadline
-//      miss must produce a blame ledger that telescopes exactly to
-//      completion - release, and on an untruncated ring nothing may land in
-//      the unattributed bucket and no miss may go unmatched.
+// Oracles run after every run: the shared suite of obs::RunNodeOracles
+// (src/obs/trace_replay.h) — trace invariants, reconciliation, per-core and
+// summed cycle conservation, causal-token conservation, lateness
+// conservation; all truncation-aware, so a deliberately tiny ring is a fault
+// case, not a false positive — then the harness's own fault oracle: every
+// injected fault must come back with exactly the status the syscall contract
+// promises (kBadHandle, kPermissionDenied, ...).
 //
 // A failing seed is shrunk by bisecting the global operation budget
 // (BisectFailingOpLimit) and reported as a one-line repro command.
@@ -49,9 +34,11 @@
 #include "src/core/stats.h"
 #include "src/core/timer.h"
 #include "src/obs/obs_report.h"
-#include "src/obs/trace_analyzer.h"
 
 namespace emeralds {
+
+class Kernel;
+
 namespace fuzz {
 
 inline constexpr const char* kTortureSchema = "emeralds.fuzz.torture/1";
@@ -97,8 +84,8 @@ struct TortureOptions {
   // Virtual cores. Generated threads are pinned round-robin (thread i on
   // core i % num_cores — no extra RNG draws, so 1-core schedules and digests
   // are bit-identical to the pre-SMP harness); the IRQ driver and the
-  // shepherd stay on the boot core. All five oracles run core-aware, and
-  // oracle 4 additionally holds each core's own ledger to wall time.
+  // shepherd stay on the boot core. Every oracle runs core-aware, and cycle
+  // conservation also holds each core's own ledger to wall time.
   int num_cores = 1;
   // Virtual-time cap; the run ends earlier once the op budget drains. Blocked
   // threads (condvar waits, forever-receives) make op throughput bursty, so
@@ -126,19 +113,20 @@ struct TortureResult {
   size_t violations = 0;
   obs::Reconciliation reconciliation;
   uint64_t fault_mismatches = 0;
-  // Fourth oracle: ledger sum == elapsed since the charge epoch (exact) AND
-  // every clock advance went through a charging path (no unattributed time).
+  // Cycle conservation: ledger sum == elapsed since the charge epoch (exact)
+  // AND every clock advance went through a charging path (no unattributed
+  // time).
   bool cycles_conserved = false;
   int64_t cycle_residual_ns = 0;
   int64_t cycle_unattributed_ns = 0;
-  // Fifth oracle: causal-token conservation over the chain event stream.
+  // Causal-token conservation over the chain event stream.
   size_t chain_violations = 0;
   uint64_t chain_orphan_hops = 0;   // nonzero only on a truncated ring
   uint64_t chain_completed = 0;     // declared-chain instances completed
   uint64_t chain_origins = 0;       // origins minted in-window
-  // Sixth oracle: conservation of lateness. Every analyzed miss's ledger must
-  // sum to its response time exactly; on a complete window unattributed and
-  // unmatched must both be zero (a truncated ring only degrades coverage).
+  // Lateness conservation: every analyzed miss's ledger must sum to its
+  // response time exactly; on a complete window unattributed and unmatched
+  // must both be zero (a truncated ring only degrades coverage).
   uint64_t postmortem_misses = 0;
   uint64_t postmortem_conservation_failures = 0;
   int64_t postmortem_unattributed_ns = 0;
@@ -157,8 +145,13 @@ struct TortureResult {
 // Runs one seeded torture run to completion and applies the oracles.
 TortureResult RunTorture(const TortureOptions& options);
 
-// Writes the trace CSV of one run to `path` (re-runs the seed; cheap and
-// deterministic). Returns false when the file cannot be created.
+// Re-runs one seed (cheap and deterministic) and hands the finished kernel
+// to `visit`, read-only. The exporters below are built on it.
+void InspectTorture(const TortureOptions& options,
+                    const std::function<void(const Kernel&)>& visit);
+
+// Writes the trace CSV of one run to `path` (re-runs the seed). Returns
+// false when the file cannot be created.
 bool ExportTortureTraceCsv(const TortureOptions& options, const std::string& path);
 
 // Writes the standard black-box forensic bundle for one run under `dir`

@@ -5,7 +5,7 @@
 #include "src/core/kernel.h"
 #include "src/obs/json_writer.h"
 #include "src/obs/perfetto_export.h"
-#include "src/obs/trace_analyzer.h"
+#include "src/obs/trace_replay.h"
 
 namespace emeralds {
 namespace obs {
@@ -27,12 +27,10 @@ BlackBoxSnapshot CaptureBlackBox(const Kernel& kernel, std::string label,
   box.thread_names = KernelThreadNames(kernel);
   box.stats = kernel.stats();
 
-  const TraceEvent* events = box.window.data();
-  size_t count = box.window.size();
-  TraceAnalysis analysis = AnalyzeTrace(events, count, box.dropped);
-  box.chains = AnalyzeChains(events, count, box.dropped, kernel.resolved_chains());
-  box.telemetry = CollectNodeTelemetry(kernel, analysis, box.chains);
-  box.postmortem = AnalyzePostmortem(events, count, box.dropped);
+  NodeOracles oracles = RunNodeOracles(kernel, box.window, box.dropped);
+  box.telemetry = CollectNodeTelemetry(kernel, oracles.trace, oracles.chains);
+  box.chains = std::move(oracles.chains);
+  box.postmortem = std::move(oracles.postmortem);
 
   if (const StatsSampler* sampler = kernel.stats_sampler()) {
     box.deltas.reserve(sampler->size());

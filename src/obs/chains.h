@@ -11,21 +11,24 @@
 // resolved by the kernel into endpoint ids), producing end-to-end latency and
 // per-hop queueing/execution breakdowns plus chain-deadline overrun counts.
 //
-// Truncation-aware like the trace analyzer: with a suffix window (dropped
-// events, or a sink Reset whose epoch marker shows pre-window state was
-// discarded) a consume whose emit fell outside the window is counted as an
-// orphan hop, never reported as a violation.
+// One step of the shared replay walk (trace_replay.h), and truncation-aware
+// by its completeness rule: with a suffix window (dropped events, or a sink
+// Reset whose epoch marker shows pre-window state was discarded) a consume
+// whose emit fell outside the window is counted as an orphan hop, never
+// reported as a violation.
 
 #ifndef SRC_OBS_CHAINS_H_
 #define SRC_OBS_CHAINS_H_
 
 #include <cstdint>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "src/base/log2_histogram.h"
 #include "src/core/config.h"
 #include "src/hal/trace.h"
-#include "src/obs/histogram.h"
 
 namespace emeralds {
 
@@ -112,6 +115,9 @@ struct ChainAnalysis {
                                   // counted, never a conservation violation
   uint64_t unconsumed_emits = 0;  // emits never picked up (banked/overwritten
                                   // tokens, unread slots) — informational
+  // Packed endpoint -> (emits, consumes) over every chain event in the
+  // window, malformed ones included: the trace_inspect --chains table.
+  std::map<int32_t, std::pair<uint64_t, uint64_t>> endpoint_traffic;
   std::vector<ChainReport> chains;  // one per spec, same order
   std::vector<ChainViolation> violations;
 

@@ -2,10 +2,9 @@
 
 #include "src/base/json.h"
 #include "src/core/kernel.h"
-#include "src/obs/chains.h"
 #include "src/obs/cycles_report.h"
 #include "src/obs/json_writer.h"
-#include "src/obs/postmortem.h"
+#include "src/obs/trace_replay.h"
 
 namespace emeralds {
 namespace obs {
@@ -98,60 +97,8 @@ void AppendTaskRows(Json& j, const std::vector<TaskRunRow>& rows) {
   j.CloseArray();
 }
 
-void AppendAnalysis(Json& j, const TraceAnalysis& a) {
-  j.Key("analysis");
-  j.OpenObject();
-  j.Int("context_switches", static_cast<int64_t>(a.context_switches));
-  j.Int("deadline_misses", static_cast<int64_t>(a.deadline_misses));
-  j.Int("jobs_released", static_cast<int64_t>(a.jobs_released));
-  j.Int("jobs_completed", static_cast<int64_t>(a.jobs_completed));
-  j.Int("sem_acquires", static_cast<int64_t>(a.sem_acquires));
-  j.Int("sem_blocks", static_cast<int64_t>(a.sem_blocks));
-  j.Int("cse_early_pi", static_cast<int64_t>(a.cse_early_pi));
-  j.Int("chain_emits", static_cast<int64_t>(a.chain_emits));
-  j.Int("chain_consumes", static_cast<int64_t>(a.chain_consumes));
-  j.Int("max_pi_chain_depth", a.max_pi_chain_depth);
-  j.Int("unresolved_blocks_at_end", static_cast<int64_t>(a.unresolved_blocks_at_end));
-  j.Key("violations");
-  j.OpenArray();
-  for (const TraceViolation& v : a.violations) {
-    j.OpenObject();
-    j.String("kind", InvariantKindToString(v.kind));
-    j.Int("event_index", static_cast<int64_t>(v.event_index));
-    j.String("detail", v.detail);
-    j.CloseObject();
-  }
-  j.CloseArray();
-  j.Key("tasks");
-  j.OpenArray();
-  for (const TaskMetrics& t : a.tasks) {
-    if (!t.seen) {
-      continue;
-    }
-    j.OpenObject();
-    j.Int("thread_id", t.thread_id);
-    j.Int("releases", static_cast<int64_t>(t.releases));
-    j.Int("completes", static_cast<int64_t>(t.completes));
-    j.Int("deadline_misses", static_cast<int64_t>(t.deadline_misses));
-    j.Int("switches_in", static_cast<int64_t>(t.switches_in));
-    j.Int("preemptions", static_cast<int64_t>(t.preemptions));
-    j.Int("sem_acquires", static_cast<int64_t>(t.sem_acquires));
-    j.Int("sem_blocks", static_cast<int64_t>(t.sem_blocks));
-    j.Int("cse_early_pi", static_cast<int64_t>(t.cse_early_pi));
-    j.Int("pi_donated", static_cast<int64_t>(t.pi_donated));
-    j.Int("pi_received", static_cast<int64_t>(t.pi_received));
-    j.Int("max_pi_depth", t.max_pi_depth);
-    j.Number("run_time_us", t.run_time.micros_f());
-    AppendHistogram(j, "response", t.response);
-    AppendHistogram(j, "blocking", t.blocking);
-    j.CloseObject();
-  }
-  j.CloseArray();
-  j.CloseObject();
-}
-
-void AppendReconciliation(Json& j, const TraceAnalysis& a, const KernelStats& s) {
-  Reconciliation r = ComputeReconciliation(a, s);
+void AppendReconciliation(Json& j, const Reconciliation& r, const TraceAnalysis& a,
+                          const KernelStats& s) {
   j.Key("reconciliation");
   j.OpenObject();
   j.Bool("checked", r.checked);
@@ -224,9 +171,60 @@ void AppendSnapshots(Json& j, const StatsSampler* sampler, const KernelStats& st
 
 }  // namespace
 
+void AppendTraceAnalysisSection(Json& j, const TraceAnalysis& a) {
+  j.OpenObject();
+  j.Int("context_switches", static_cast<int64_t>(a.context_switches));
+  j.Int("deadline_misses", static_cast<int64_t>(a.deadline_misses));
+  j.Int("jobs_released", static_cast<int64_t>(a.jobs_released));
+  j.Int("jobs_completed", static_cast<int64_t>(a.jobs_completed));
+  j.Int("sem_acquires", static_cast<int64_t>(a.sem_acquires));
+  j.Int("sem_blocks", static_cast<int64_t>(a.sem_blocks));
+  j.Int("cse_early_pi", static_cast<int64_t>(a.cse_early_pi));
+  j.Int("chain_emits", static_cast<int64_t>(a.chain_emits));
+  j.Int("chain_consumes", static_cast<int64_t>(a.chain_consumes));
+  j.Int("max_pi_chain_depth", a.max_pi_chain_depth);
+  j.Int("unresolved_blocks_at_end", static_cast<int64_t>(a.unresolved_blocks_at_end));
+  j.Key("violations");
+  j.OpenArray();
+  for (const TraceViolation& v : a.violations) {
+    j.OpenObject();
+    j.String("kind", InvariantKindToString(v.kind));
+    j.Int("event_index", static_cast<int64_t>(v.event_index));
+    j.String("detail", v.detail);
+    j.CloseObject();
+  }
+  j.CloseArray();
+  j.Key("tasks");
+  j.OpenArray();
+  for (const TaskMetrics& t : a.tasks) {
+    if (!t.seen) {
+      continue;
+    }
+    j.OpenObject();
+    j.Int("thread_id", t.thread_id);
+    j.Int("releases", static_cast<int64_t>(t.releases));
+    j.Int("completes", static_cast<int64_t>(t.completes));
+    j.Int("deadline_misses", static_cast<int64_t>(t.deadline_misses));
+    j.Int("switches_in", static_cast<int64_t>(t.switches_in));
+    j.Int("preemptions", static_cast<int64_t>(t.preemptions));
+    j.Int("sem_acquires", static_cast<int64_t>(t.sem_acquires));
+    j.Int("sem_blocks", static_cast<int64_t>(t.sem_blocks));
+    j.Int("cse_early_pi", static_cast<int64_t>(t.cse_early_pi));
+    j.Int("pi_donated", static_cast<int64_t>(t.pi_donated));
+    j.Int("pi_received", static_cast<int64_t>(t.pi_received));
+    j.Int("max_pi_depth", t.max_pi_depth);
+    j.Number("run_time_us", t.run_time.micros_f());
+    AppendHistogram(j, "response", t.response);
+    AppendHistogram(j, "blocking", t.blocking);
+    j.CloseObject();
+  }
+  j.CloseArray();
+  j.CloseObject();
+}
+
 Reconciliation ComputeReconciliation(const TraceAnalysis& a, const KernelStats& s) {
   Reconciliation r;
-  r.checked = a.dropped_events == 0;
+  r.checked = a.complete_window;
   if (!r.checked) {
     return r;  // suffix window: equalities would legitimately fail
   }
@@ -246,8 +244,7 @@ std::string BuildObsRunReport(const ObsRunInfo& info, const Kernel& kernel,
                               const std::vector<ThreadId>& task_ids) {
   const TraceSink& trace = kernel.trace();
   std::vector<TraceEvent> scratch;
-  std::span<const TraceEvent> window = trace.Window(&scratch);
-  TraceAnalysis analysis = AnalyzeTrace(window.data(), window.size(), trace.dropped());
+  NodeOracles oracles = RunNodeOracles(kernel, trace.Window(&scratch), trace.dropped());
 
   Json j;
   j.OpenObject();
@@ -266,15 +263,13 @@ std::string BuildObsRunReport(const ObsRunInfo& info, const Kernel& kernel,
   AppendKernelStats(j, kernel.stats());
   AppendCyclesSection(j, kernel);
   AppendTaskRows(j, CollectPerTaskStats(kernel, task_ids));
-  AppendAnalysis(j, analysis);
-  AppendReconciliation(j, analysis, kernel.stats());
-  ChainAnalysis chains =
-      AnalyzeChains(window.data(), window.size(), trace.dropped(), kernel.resolved_chains());
+  j.Key("analysis");
+  AppendTraceAnalysisSection(j, oracles.trace);
+  AppendReconciliation(j, oracles.reconciliation, oracles.trace, kernel.stats());
   j.Key("chains");
-  AppendChainsSection(j, chains);
+  AppendChainsSection(j, oracles.chains);
   j.Key("postmortem");
-  AppendPostmortemSection(j, AnalyzePostmortem(window.data(), window.size(), trace.dropped()),
-                          &chains);
+  AppendPostmortemSection(j, oracles.postmortem, &oracles.chains);
   AppendSnapshots(j, kernel.stats_sampler(), kernel.stats());
   j.CloseObject();
   return j.str() + "\n";

@@ -34,9 +34,9 @@ struct ObsRunInfo {
 
 // Replay-vs-kernel agreement: does the analyzer's replay of the trace arrive
 // at the same counters the kernel incremented live? Only meaningful for an
-// untruncated trace — a suffix window legitimately undercounts — so `checked`
-// records whether the equalities were actually enforced. The torture harness
-// uses this as its second oracle (the first is zero invariant violations).
+// complete window — a suffix window legitimately undercounts — so `checked`
+// records whether the equalities were actually enforced. It is the second
+// node oracle (trace_replay.h).
 struct Reconciliation {
   bool checked = false;
   bool context_switches_match = true;
@@ -58,9 +58,13 @@ struct Reconciliation {
 
 Reconciliation ComputeReconciliation(const TraceAnalysis& analysis, const KernelStats& stats);
 
+// Renders a trace analysis as a JSON object body: the "analysis" section of
+// the report below.
+void AppendTraceAnalysisSection(class Json& j, const TraceAnalysis& analysis);
+
 // Renders the full report as a JSON string. `task_ids` selects the taskset
-// threads for the per-task rows (pass {} to skip them). The trace analysis is
-// recomputed here from the kernel's retained trace window.
+// threads for the per-task rows (pass {} to skip them). The analyses come from
+// RunNodeOracles over the kernel's retained trace window.
 std::string BuildObsRunReport(const ObsRunInfo& info, const Kernel& kernel,
                               const std::vector<ThreadId>& task_ids);
 

@@ -1,13 +1,14 @@
 // Deadline-miss postmortem: exact lateness attribution per late job.
 //
 // For every job that missed its deadline inside the trace window, the engine
-// replays the event stream once and decomposes the job's response time into
-// an exactly-telescoping lateness ledger: carry-in from the previous job's
-// overrun, timer-service release latency, preemption (attributed per
-// preemptor thread), priority-inversion blocking (per lock), IRQ / IPI /
-// timer-service / scheduler / syscall overhead (from kOverheadSpan events),
-// voluntary self-suspension, and the job's own scheduled execution split
-// against the headroom monitor's EWMA cost into expected vs. overrun.
+// (one step of the shared replay walk, trace_replay.h) decomposes the job's
+// response time into an exactly-telescoping lateness ledger: carry-in from
+// the previous job's overrun, timer-service release latency, preemption
+// (attributed per preemptor thread), priority-inversion blocking (per lock),
+// IRQ / IPI / timer-service / scheduler / syscall overhead (from
+// kOverheadSpan events), voluntary self-suspension, and the job's own
+// scheduled execution split against the headroom monitor's EWMA cost into
+// expected vs. overrun.
 //
 // The hard invariant mirrors CheckCycleConservation: on a complete window
 // the ledger components sum to `completion - release` to the tick, so

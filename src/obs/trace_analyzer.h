@@ -1,7 +1,8 @@
 // Trace replay: derived per-task metrics and invariant checks.
 //
-// The analyzer consumes the TraceSink event stream (live, or re-imported from
-// the CSV export) and derives what the raw ring does not store directly:
+// The analyzer is one step of the shared replay walk (trace_replay.h). It
+// consumes the TraceSink event stream (live, or re-imported from the CSV
+// export) and derives what the raw ring does not store directly:
 // per-task response-time and blocking-time histograms, preemption counts, PI
 // chain depth, CSE savings — the quantities EMERALDS' evaluation is about —
 // plus structural invariant checks that catch both kernel bugs and corrupted
@@ -15,8 +16,8 @@
 #include <string>
 #include <vector>
 
+#include "src/base/log2_histogram.h"
 #include "src/hal/trace.h"
-#include "src/obs/histogram.h"
 
 namespace emeralds {
 
@@ -24,11 +25,12 @@ class TraceSink;
 
 namespace obs {
 
-// Structural trace invariants. The analyzer is truncation-aware: when
-// `dropped_events` > 0 the retained window is a suffix of the run, so checks
-// that need pre-window state (switch pairing before the first switch,
-// release/complete pairing for jobs begun before the window) are suppressed
-// until the stream itself establishes the state.
+// Structural trace invariants. The analyzer is truncation-aware: when the
+// window is not the whole run (events dropped ahead of it, or a sink Reset
+// marker) it is a suffix of the run, so checks that need pre-window state
+// (switch pairing before the first switch, release/complete pairing for jobs
+// begun before the window) are suppressed until the stream itself
+// establishes the state.
 enum class InvariantKind {
   // Timestamps regressed. kJobRelease events are exempt: they carry the
   // *nominal* release instant, which the kernel records retroactively when a
@@ -84,7 +86,7 @@ struct TaskMetrics {
 struct TraceAnalysis {
   std::vector<TaskMetrics> tasks;  // indexed by thread id; check `seen`
 
-  // Stream-wide counters. With dropped_events == 0 these reconcile exactly
+  // Stream-wide counters. On a complete window these reconcile exactly
   // with the kernel's KernelStats (context_switches, deadline_misses, ...).
   uint64_t context_switches = 0;
   uint64_t deadline_misses = 0;
@@ -109,6 +111,9 @@ struct TraceAnalysis {
   uint64_t unresolved_blocks_at_end = 0;
 
   uint64_t dropped_events = 0;  // echoed from the input
+  // The replay walk's completeness verdict: no events dropped ahead of the
+  // window and no kTraceEpoch marker in it. Reconciliation checks only then.
+  bool complete_window = false;
   std::vector<TraceViolation> violations;
 
   bool ok() const { return violations.empty(); }

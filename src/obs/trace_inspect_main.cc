@@ -28,15 +28,11 @@
 #include <cstring>
 #include <string>
 
-#include <map>
-
 #include "src/base/json.h"
-#include "src/obs/chains.h"
 #include "src/obs/obs_report.h"
 #include "src/obs/perfetto_export.h"
-#include "src/obs/postmortem.h"
-#include "src/obs/trace_analyzer.h"
 #include "src/obs/trace_csv.h"
+#include "src/obs/trace_replay.h"
 
 namespace emeralds {
 namespace obs {
@@ -197,9 +193,7 @@ bool PrintCyclesBreakdown(const JsonValue& root) {
 // conservation and summarizes traffic per endpoint, so a corrupted or
 // kernel-buggy stream fails here exactly like it does under the in-process
 // analyzer. Returns false on any chain violation.
-bool PrintChains(const TraceCsvImport& import) {
-  ChainAnalysis chains =
-      AnalyzeChains(import.events.data(), import.events.size(), import.dropped, {});
+bool PrintChains(const ChainAnalysis& chains) {
   std::printf("chains: %" PRIu64 " emits, %" PRIu64 " consumes, %" PRIu64
               " origins minted%s\n",
               chains.chain_emits, chains.chain_consumes, chains.origins_minted,
@@ -212,15 +206,7 @@ bool PrintChains(const TraceCsvImport& import) {
     std::printf("  %" PRIu64 " unconsumed emit(s) (banked/overwritten tokens, unread slots)\n",
                 chains.unconsumed_emits);
   }
-  std::map<int32_t, std::pair<uint64_t, uint64_t>> per_endpoint;  // emits, consumes
-  for (const TraceEvent& e : import.events) {
-    if (e.type == TraceEventType::kChainEmit) {
-      ++per_endpoint[e.arg1].first;
-    } else if (e.type == TraceEventType::kChainConsume) {
-      ++per_endpoint[e.arg1].second;
-    }
-  }
-  for (const auto& kv : per_endpoint) {
+  for (const auto& kv : chains.endpoint_traffic) {
     std::printf("  %s:%d  %" PRIu64 " emits, %" PRIu64 " consumes\n",
                 ChainEndpointKindToString(ChainEndpointKindOf(kv.first)),
                 ChainEndpointChannel(kv.first), kv.second.first, kv.second.second);
@@ -285,8 +271,11 @@ int Main(int argc, char** argv) {
     return 1;
   }
 
-  TraceAnalysis analysis =
-      AnalyzeTrace(import.events.data(), import.events.size(), import.dropped);
+  // One replay feeds every view below.
+  TraceReplay replay =
+      ReplayTrace(import.events.data(), import.events.size(), import.dropped, {});
+  const TraceAnalysis& analysis = replay.trace;
+  const PostmortemAnalysis& postmortem = replay.postmortem;
   std::printf("%s: %zu events (%" PRIu64 " dropped before window)\n", csv_path,
               import.events.size(), import.dropped);
   PrintAnalysis(analysis);
@@ -303,20 +292,12 @@ int Main(int argc, char** argv) {
     std::printf("invariants: ok\n");
   }
 
-  if (show_chains && !PrintChains(import) && status == 0) {
+  if (show_chains && !PrintChains(replay.chains) && status == 0) {
     status = 2;
   }
 
-  // Computed for --postmortem and for --perfetto (late jobs become annotation
-  // slices on the victims' tracks either way).
-  PostmortemAnalysis postmortem;
-  if (show_postmortem || perfetto_path != nullptr || postmortem_json_path != nullptr) {
-    postmortem = AnalyzePostmortem(import.events.data(), import.events.size(), import.dropped);
-  }
   if (show_postmortem) {
-    ChainAnalysis chains =
-        AnalyzeChains(import.events.data(), import.events.size(), import.dropped, {});
-    PrintPostmortem(stdout, postmortem, &chains);
+    PrintPostmortem(stdout, postmortem, &replay.chains);
     if (!postmortem.ok() && status == 0) {
       status = 2;  // a ledger failed to telescope: the engine's hard invariant
     }
@@ -327,9 +308,7 @@ int Main(int argc, char** argv) {
       std::fprintf(stderr, "trace_inspect: cannot open %s\n", postmortem_json_path);
       return 1;
     }
-    ChainAnalysis chains =
-        AnalyzeChains(import.events.data(), import.events.size(), import.dropped, {});
-    std::string doc = BuildPostmortemReport(csv_path, postmortem, &chains);
+    std::string doc = BuildPostmortemReport(csv_path, postmortem, &replay.chains);
     std::fwrite(doc.data(), 1, doc.size(), jf);
     std::fclose(jf);
     std::printf("postmortem: wrote %" PRIu64 " analyzed miss(es) to %s\n",
@@ -362,7 +341,7 @@ int Main(int argc, char** argv) {
       std::fprintf(stderr, "trace_inspect: %s is not an %s report\n", run_path, kObsRunSchema);
       return 1;
     }
-    if (import.dropped > 0) {
+    if (!analysis.complete_window) {
       std::printf("reconcile: skipped (truncated window; kernel counters cover the full run)\n");
     } else {
       bool all = true;
@@ -389,6 +368,7 @@ int Main(int argc, char** argv) {
     }
     PerfettoExportOptions options;
     options.dropped_events = import.dropped;
+    // Late jobs become annotation slices on the victims' tracks.
     options.annotations = PostmortemAnnotations(postmortem);
     size_t entries =
         ExportPerfettoJson(import.events.data(), import.events.size(), options, pf);

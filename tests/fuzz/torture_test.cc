@@ -40,7 +40,7 @@ TEST(TortureTest, FixedSeedSweepIsClean) {
   }
 }
 
-// Satellite: the same sweep at 2 and 4 virtual cores. All five oracles stay
+// Satellite: the same sweep at 2 and 4 virtual cores. Every oracle stays
 // enforced; cycle conservation in particular is checked per core AND
 // fleet-summed inside RunTorture, so a single tick leaking between cores
 // fails the run.

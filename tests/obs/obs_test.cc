@@ -9,8 +9,9 @@
 #include <gtest/gtest.h>
 
 #include "src/base/json.h"
+#include "src/base/log2_histogram.h"
 #include "src/core/taskset_runner.h"
-#include "src/obs/histogram.h"
+#include "src/obs/chains.h"
 #include "src/obs/obs_report.h"
 #include "src/obs/perfetto_export.h"
 #include "src/obs/postmortem.h"
@@ -298,6 +299,33 @@ TEST(TraceAnalyzerLiveTest, ContendedRunReconcilesWithKernelStats) {
   EXPECT_GT(a.task(ids[0].value)->blocking.count(), 0u);
   EXPECT_GT(a.task(ids[0].value)->blocking.min(), Duration());
   EXPECT_GT(a.task(ids[0].value)->pi_donated, 0u);
+}
+
+// A deliberate mid-run TraceSink::Reset leaves a window that opens with a
+// kTraceEpoch marker while a thread holds the core. Every analysis must read
+// it as a suffix of the run: no switch-pairing violation for the thread that
+// was running before the marker, and no reconciliation against the kernel's
+// whole-run counters.
+TEST(TraceAnalyzerLiveTest, MidRunResetWindowIsIncompleteForEveryAnalysis) {
+  KernelConfig config = ZeroCostConfig(SchedulerSpec::Rm());
+  config.trace_capacity = 4096;
+  SimEnv env(config);
+  SemId sem = env.k().CreateSemaphore("S", 1).value();
+  std::vector<ThreadId> ids;
+  SpawnContending(env.k(), sem, &ids);
+  env.StartAndRunFor(Milliseconds(103));
+  env.k().trace().Reset(env.k().now());
+  env.k().RunUntil(Instant() + Milliseconds(200));
+
+  const TraceSink& trace = env.k().trace();
+  ASSERT_EQ(trace.dropped(), 0u);
+  TraceAnalysis a = AnalyzeTrace(trace);
+  EXPECT_TRUE(a.ok()) << (a.violations.empty() ? "" : a.violations[0].detail);
+  EXPECT_GT(a.context_switches, 0u);
+  EXPECT_FALSE(ComputeReconciliation(a, env.k().stats()).checked);
+  EXPECT_FALSE(a.complete_window);
+  EXPECT_FALSE(AnalyzeChains(trace, env.k().resolved_chains()).complete_window);
+  EXPECT_TRUE(AnalyzePostmortem(trace).window_truncated);
 }
 
 TEST(TraceAnalyzerLiveTest, SeedTasksetsPassInvariants) {

@@ -13,8 +13,8 @@
 #include <algorithm>
 #include <vector>
 
+#include "src/base/log2_histogram.h"
 #include "src/base/rng.h"
-#include "src/obs/histogram.h"
 
 namespace emeralds {
 namespace obs {

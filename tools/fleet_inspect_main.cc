@@ -60,6 +60,7 @@
 #include "src/obs/perfetto_export.h"
 #include "src/obs/postmortem.h"
 #include "src/obs/timeseries.h"
+#include "src/obs/trace_replay.h"
 
 namespace emeralds {
 namespace fleet {
@@ -572,11 +573,11 @@ int Main(int argc, char** argv) {
     }
     NodeResult result =
         InspectNode(opt, postmortem_node, [&](const Kernel& kernel, const NodeResult&) {
-          obs::PostmortemAnalysis pm = obs::AnalyzePostmortem(kernel.trace());
-          obs::ChainAnalysis chains =
-              obs::AnalyzeChains(kernel.trace(), kernel.resolved_chains());
+          std::vector<TraceEvent> scratch;
+          obs::NodeOracles oracles = obs::RunNodeOracles(
+              kernel, kernel.trace().Window(&scratch), kernel.trace().dropped());
           std::printf("node %d ", postmortem_node);
-          obs::PrintPostmortem(stdout, pm, &chains);
+          obs::PrintPostmortem(stdout, oracles.postmortem, &oracles.chains);
         });
     return result.ok() ? 0 : 2;
   }
