@@ -293,12 +293,12 @@ void CompareFleet(const JsonValue& baseline, const JsonValue& candidate,
   }
   // Streaming-collection overhead IS gated, as a ratio: both sides of the
   // division ran on the same host in the same process, so the ratio is
-  // machine-independent in a way the raw wall rates are not. Even best-of-3
-  // ratios of ~40 ms parallel runs still carry double-digit-percent host
-  // noise, so this gate uses its own tripwire tolerance instead of the 3%
-  // deterministic-field tolerance: it exists to catch the streaming plane
-  // becoming grossly more expensive (the always-on layer doubling in cost),
-  // not to micro-gate scheduler jitter.
+  // machine-independent in a way the raw wall rates are not. Even the median
+  // of paired per-round ratios of ~30 ms parallel runs still carries
+  // double-digit-percent host noise, so this gate uses its own tripwire
+  // tolerance instead of the 3% deterministic-field tolerance: it exists to
+  // catch the streaming plane becoming grossly more expensive (the
+  // always-on layer doubling in cost), not to micro-gate scheduler jitter.
   constexpr double kStreamingRatioTolerance = 0.25;
   const JsonValue* streaming = candidate.Find("streaming_overhead");
   const JsonValue* base_streaming = baseline.Find("streaming_overhead");
@@ -322,6 +322,17 @@ void CompareFleet(const JsonValue& baseline, const JsonValue& candidate,
       Notef(r, "streaming overhead ratio %.3f vs baseline %.3f (gated, within tolerance)",
             cand_ratio, base_ratio);
     }
+  }
+  // The run digest's cost per trace record is host wall time: noted only.
+  const JsonValue* digest = candidate.Find("trace_digest");
+  const JsonValue* base_digest = baseline.Find("trace_digest");
+  if (digest != nullptr && base_digest != nullptr) {
+    Notef(r, "trace digest %.2f ns/record over %.0f records vs baseline %.2f (not gated)",
+          NumberOr(*digest, "ns_per_record", 0.0), NumberOr(*digest, "records", 0.0),
+          NumberOr(*base_digest, "ns_per_record", 0.0));
+  } else if (digest != nullptr) {
+    Notef(r, "trace digest %.2f ns/record over %.0f records (not gated)",
+          NumberOr(*digest, "ns_per_record", 0.0), NumberOr(*digest, "records", 0.0));
   }
   // Wall-clock throughput is machine-dependent: informational only.
   double base_wps = NumberOr(baseline, "events_per_wall_sec", 0.0);

@@ -5,15 +5,17 @@
 // configurations: everything off, telemetry-only, and telemetry + the
 // streaming timeseries / alert plane. All digests must be bit-identical
 // (observation that perturbs the run would poison every baseline after
-// it); each configuration is timed best-of-3 and the wall-rate pairs price
-// telemetry overhead (informational) and streaming overhead (the ratio is
-// gated by bench_compare as a gross-regression tripwire — a ratio is
-// host-speed-independent, but short parallel runs still jitter).
-// Then the timer-queue microbenchmark at 1k / 10k / 100k pending timers,
-// and one emeralds.fleet.run/1 report. With $EMERALDS_FLEET_ARTIFACTS set,
-// anomalous nodes additionally drop black-box bundles there; with
-// $EMERALDS_OPENMETRICS set, the validated OpenMetrics text exposition of
-// the final run is written there. CI (the fleet_smoke label) validates the
+// it); the configurations run in interleaved rounds, and the median of the
+// per-round rate ratios prices telemetry overhead (informational) and
+// streaming overhead (the ratio is gated by bench_compare as a
+// gross-regression tripwire — a ratio is host-speed-independent, but short
+// parallel runs still jitter).
+// Then the run digest's cost per record over node 0's whole-run trace
+// window (informational), the timer-queue microbenchmark at 1k / 10k /
+// 100k pending timers, and one emeralds.fleet.run/1 report. With
+// $EMERALDS_FLEET_ARTIFACTS set, anomalous nodes additionally drop
+// black-box bundles there; with $EMERALDS_OPENMETRICS set, the validated
+// OpenMetrics text exposition of the final run is written there. CI (the fleet_smoke label) validates the
 // report with bench_json_check and gates it against the committed
 // BENCH_fleet.json baseline with bench_compare: the deterministic aggregate
 // rates are held to 3% and the wheel must stay >= 5x the reference sorted
@@ -23,15 +25,21 @@
 // directory). Exit status is nonzero when a node fails its oracles or the
 // speedup bar is missed, so the bench is its own first gate.
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_timers.h"
+#include "src/core/kernel.h"
 #include "src/fleet/fleet.h"
 #include "src/fleet/fleet_report.h"
 #include "src/fleet/openmetrics.h"
+#include "src/hal/trace.h"
 
 namespace emeralds {
 namespace {
@@ -54,67 +62,81 @@ int Run() {
   // telemetry plus the streaming timeseries/alert plane is the run the
   // report describes. The A==B==C digest equality is a hard gate, not a
   // report note — observation that perturbs the run would poison every
-  // baseline after it. Each configuration runs kReps times and the overhead
-  // ratios use the best wall rate per side: a short parallel run's wall
-  // clock is dominated by scheduler/frequency noise, and best-of-N is the
-  // standard way to price the code instead of the host's mood. Repeat runs
-  // must also agree on the digest (free determinism coverage).
-  constexpr int kReps = 3;
-  bool digests_stable = true;
-  auto measure = [&digests_stable](const fleet::FleetOptions& o, double* best_rate) {
+  // baseline after it. The configurations run in kRounds interleaved rounds
+  // whose order alternates (A B C, C B A, ...). Each side reports its best
+  // wall rate, and each overhead ratio is the median over rounds of that
+  // round's on/off rate ratio: a ~30 ms parallel run's wall clock swings by
+  // tens of percent with the host's load, two sides priced back to back in
+  // one round share the same host state, alternating the order cancels a
+  // load that rises or falls across the run, and the median drops the
+  // rounds where the host changed mid-pair. Repeat runs must also agree on
+  // the digest (free determinism coverage).
+  constexpr int kRounds = 8;
+  struct Config {
+    explicit Config(const fleet::FleetOptions& o) : options(o) {}
+    fleet::FleetOptions options;
+    std::vector<double> rates;  // events per wall second, one per round
     fleet::FleetResult last;
-    for (int i = 0; i < kReps; ++i) {
-      fleet::FleetResult r = fleet::RunFleet(o);
-      if (i > 0 && r.fleet_digest != last.fleet_digest) {
+    double best_rate() const { return *std::max_element(rates.begin(), rates.end()); }
+  };
+  Config control(opt);
+  control.options.telemetry = false;
+  control.options.timeseries = false;
+  control.options.alerts = false;
+  Config midpoint(opt);
+  midpoint.options.timeseries = false;
+  midpoint.options.alerts = false;
+  Config streaming(opt);
+  if (const char* artifacts = std::getenv("EMERALDS_FLEET_ARTIFACTS")) {
+    streaming.options.artifacts_dir = artifacts;
+  }
+  bool digests_stable = true;
+  for (int round = 0; round < kRounds; ++round) {
+    Config* order[] = {&control, &midpoint, &streaming};
+    if (round % 2 == 1) {
+      std::swap(order[0], order[2]);
+    }
+    for (Config* config : order) {
+      fleet::FleetResult r = fleet::RunFleet(config->options);
+      if (round > 0 && r.fleet_digest != config->last.fleet_digest) {
         digests_stable = false;
       }
-      if (r.events_per_wall_sec > *best_rate) {
-        *best_rate = r.events_per_wall_sec;
-      }
-      last = std::move(r);
+      config->rates.push_back(r.events_per_wall_sec);
+      config->last = std::move(r);
     }
-    return last;
-  };
-
-  fleet::FleetOptions off = opt;
-  off.telemetry = false;
-  off.timeseries = false;
-  off.alerts = false;
-  double control_rate = 0.0;
-  fleet::FleetResult control = measure(off, &control_rate);
-
-  fleet::FleetOptions telemetry_only = opt;
-  telemetry_only.timeseries = false;
-  telemetry_only.alerts = false;
-  double midpoint_rate = 0.0;
-  fleet::FleetResult midpoint = measure(telemetry_only, &midpoint_rate);
-
-  if (const char* artifacts = std::getenv("EMERALDS_FLEET_ARTIFACTS")) {
-    opt.artifacts_dir = artifacts;
   }
-  double result_rate = 0.0;
-  fleet::FleetResult result = measure(opt, &result_rate);
+  auto paired_ratio = [](const Config& on, const Config& off) {
+    std::vector<double> ratios;
+    for (int round = 0; round < kRounds; ++round) {
+      ratios.push_back(on.rates[round] / off.rates[round]);
+    }
+    std::sort(ratios.begin(), ratios.end());
+    return (ratios[(kRounds - 1) / 2] + ratios[kRounds / 2]) / 2.0;
+  };
+  const double telemetry_ratio = paired_ratio(midpoint, control);
+  const double streaming_ratio = paired_ratio(streaming, midpoint);
+  const fleet::FleetResult& result = streaming.last;
   std::printf("fleet: %llu events in %.3f s wall (%.0f events/s wall, %.0f events/s virtual), "
               "%d/%d nodes failed\n",
               static_cast<unsigned long long>(result.events_total), result.wall_seconds,
               result.events_per_wall_sec, result.events_per_virtual_sec, result.nodes_failed,
               result.instances);
-  std::printf("telemetry overhead: on %.0f events/s wall vs off %.0f (ratio %.3f, best of %d)\n",
-              midpoint_rate, control_rate,
-              control_rate > 0 ? midpoint_rate / control_rate : 0.0, kReps);
-  std::printf("streaming overhead: on %.0f events/s wall vs off %.0f (ratio %.3f, best of %d)\n",
-              result_rate, midpoint_rate,
-              midpoint_rate > 0 ? result_rate / midpoint_rate : 0.0, kReps);
+  std::printf("telemetry overhead: on %.0f events/s wall vs off %.0f (best of %d), "
+              "median paired ratio %.3f\n",
+              midpoint.best_rate(), control.best_rate(), kRounds, telemetry_ratio);
+  std::printf("streaming overhead: on %.0f events/s wall vs off %.0f (best of %d), "
+              "median paired ratio %.3f\n",
+              streaming.best_rate(), midpoint.best_rate(), kRounds, streaming_ratio);
   std::printf("alerts: %llu events, %llu fired\n",
               static_cast<unsigned long long>(result.alerts.size()),
               static_cast<unsigned long long>(result.alerts_fired));
-  if (control.fleet_digest != result.fleet_digest ||
-      midpoint.fleet_digest != result.fleet_digest || !digests_stable) {
+  if (control.last.fleet_digest != result.fleet_digest ||
+      midpoint.last.fleet_digest != result.fleet_digest || !digests_stable) {
     std::fprintf(stderr,
                  "FAIL: observation changed the fleet digest "
                  "(off 0x%016llx, telemetry 0x%016llx, streaming 0x%016llx, repeats %s)\n",
-                 static_cast<unsigned long long>(control.fleet_digest),
-                 static_cast<unsigned long long>(midpoint.fleet_digest),
+                 static_cast<unsigned long long>(control.last.fleet_digest),
+                 static_cast<unsigned long long>(midpoint.last.fleet_digest),
                  static_cast<unsigned long long>(result.fleet_digest),
                  digests_stable ? "stable" : "UNSTABLE");
     return 1;
@@ -144,15 +166,46 @@ int Run() {
     }
   }
 
+  // Per-layer price of the run digest: DigestTrace over node 0's whole-run
+  // window (the default ring retains every record), timed kDigestReps times
+  // on the re-run node; the median is reported per record.
+  constexpr int kDigestReps = 9;
+  size_t digest_records = 0;
+  std::vector<double> digest_ns;
+  uint64_t window_digest = 0;  // printed, so the timed calls stay live
+  fleet::InspectNode(control.options, 0, [&](const Kernel& kernel, const fleet::NodeResult&) {
+    std::vector<TraceEvent> scratch;
+    std::span<const TraceEvent> window = kernel.trace().Window(&scratch);
+    digest_records = window.size();
+    for (int i = 0; i < kDigestReps; ++i) {
+      auto start = std::chrono::steady_clock::now();
+      window_digest = DigestTrace(window, {});
+      digest_ns.push_back(
+          std::chrono::duration<double, std::nano>(std::chrono::steady_clock::now() - start)
+              .count());
+    }
+  });
+  std::nth_element(digest_ns.begin(), digest_ns.begin() + kDigestReps / 2, digest_ns.end());
+  double digest_ns_per_record =
+      digest_records > 0 ? digest_ns[kDigestReps / 2] / static_cast<double>(digest_records) : 0.0;
+  std::printf("trace digest: %zu records of node 0, %.2f ns/record (median of %d), "
+              "window digest %016llx\n",
+              digest_records, digest_ns_per_record, kDigestReps,
+              static_cast<unsigned long long>(window_digest));
+
   fleet::FleetRunInfo info;
   info.label = "fleet_baseline";
   info.run_duration = opt.run_duration;
   info.slice = opt.slice;
   info.trace_capacity = opt.trace_capacity;
-  info.telemetry_on_events_per_wall_sec = midpoint_rate;
-  info.telemetry_off_events_per_wall_sec = control_rate;
-  info.streaming_on_events_per_wall_sec = result_rate;
-  info.streaming_off_events_per_wall_sec = midpoint_rate;
+  info.telemetry_on_events_per_wall_sec = midpoint.best_rate();
+  info.telemetry_off_events_per_wall_sec = control.best_rate();
+  info.telemetry_ratio = telemetry_ratio;
+  info.streaming_on_events_per_wall_sec = streaming.best_rate();
+  info.streaming_off_events_per_wall_sec = midpoint.best_rate();
+  info.streaming_ratio = streaming_ratio;
+  info.trace_digest_records = digest_records;
+  info.trace_digest_ns_per_record = digest_ns_per_record;
   const char* env = std::getenv("EMERALDS_BENCH_JSON");
   std::string path = env != nullptr ? env : "BENCH_fleet.json";
   if (!fleet::WriteFleetRunReportFile(path, info, result, timers)) {

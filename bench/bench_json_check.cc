@@ -755,6 +755,19 @@ int CheckFleetRun(const char* path, const JsonValue& root) {
   if (alerts != nullptr && !CheckAlertsSection(*alerts, "alerts")) {
     return 1;
   }
+  // The run digest's host cost per record (bench_fleet): wall time, so only
+  // the shape is checked.
+  const JsonValue* trace_digest = root.Find("trace_digest");
+  if (trace_digest != nullptr) {
+    if (!RequireNumbers(*trace_digest, "trace_digest", {"records", "ns_per_record"})) {
+      return 1;
+    }
+    if (trace_digest->Find("records")->number <= 0.0 ||
+        trace_digest->Find("ns_per_record")->number <= 0.0) {
+      std::fprintf(stderr, "FAIL: trace_digest records and ns_per_record must be positive\n");
+      return 1;
+    }
+  }
   const JsonValue* timers = root.Find("timers");
   if (timers != nullptr) {
     const JsonValue* points = timers->Find("points");

@@ -102,7 +102,7 @@ struct NodeResult {
   uint64_t timer_dispatches = 0;
   uint64_t chain_completed = 0;
   uint64_t chain_overruns = 0;  // completed chain instances past their SLO
-  uint64_t trace_digest = 0;    // FNV-1a over the retained window + counters
+  uint64_t trace_digest = 0;    // DigestTrace over the retained window + counters
   uint64_t trace_dropped = 0;
   uint64_t headroom_low_events = 0;
   Duration virtual_time;

@@ -85,25 +85,29 @@ std::string BuildFleetRunReport(const FleetRunInfo& info, const FleetResult& res
   json.Number("wall_seconds", result.wall_seconds);
   json.Number("events_per_wall_sec", result.events_per_wall_sec);
 
-  if (info.telemetry_on_events_per_wall_sec > 0 &&
-      info.telemetry_off_events_per_wall_sec > 0) {
+  if (info.telemetry_ratio > 0) {
     json.Key("telemetry_overhead");
     json.OpenObject();
     json.Number("on_events_per_wall_sec", info.telemetry_on_events_per_wall_sec);
     json.Number("off_events_per_wall_sec", info.telemetry_off_events_per_wall_sec);
-    json.Number("ratio", info.telemetry_on_events_per_wall_sec /
-                             info.telemetry_off_events_per_wall_sec);
+    json.Number("ratio", info.telemetry_ratio);
     json.CloseObject();
   }
 
-  if (info.streaming_on_events_per_wall_sec > 0 &&
-      info.streaming_off_events_per_wall_sec > 0) {
+  if (info.streaming_ratio > 0) {
     json.Key("streaming_overhead");
     json.OpenObject();
     json.Number("on_events_per_wall_sec", info.streaming_on_events_per_wall_sec);
     json.Number("off_events_per_wall_sec", info.streaming_off_events_per_wall_sec);
-    json.Number("ratio", info.streaming_on_events_per_wall_sec /
-                             info.streaming_off_events_per_wall_sec);
+    json.Number("ratio", info.streaming_ratio);
+    json.CloseObject();
+  }
+
+  if (info.trace_digest_records > 0) {
+    json.Key("trace_digest");
+    json.OpenObject();
+    json.Int("records", static_cast<int64_t>(info.trace_digest_records));
+    json.Number("ns_per_record", info.trace_digest_ns_per_record);
     json.CloseObject();
   }
 

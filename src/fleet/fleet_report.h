@@ -46,17 +46,25 @@ struct FleetRunInfo {
   // Echoed so fleet_inspect can rebuild the exact FleetOptions from the
   // report alone (0 = the kernel's retain-everything default).
   size_t trace_capacity = 0;
-  // Host-side telemetry-collection overhead, measured by bench_fleet as the
-  // events/wall-sec rate with collection on vs off. Informational (wall
-  // clock is never gated); the section is omitted when either is zero.
+  // Host-side overhead of telemetry collection (rate with collection on vs
+  // off) and of the streaming timeseries + alert plane (rate with it on vs
+  // telemetry-only), measured by bench_fleet in interleaved rounds: each
+  // side's best events/wall-sec rate, and the median over rounds of the
+  // per-round on/off rate ratio. The telemetry section is informational;
+  // bench_compare gates the streaming *ratio* against the committed baseline
+  // (a ratio is host-speed-independent). A section is omitted when its
+  // ratio is zero.
   double telemetry_on_events_per_wall_sec = 0.0;
   double telemetry_off_events_per_wall_sec = 0.0;
-  // Streaming-collection overhead: rate with the streaming timeseries +
-  // alert plane on vs telemetry-only. bench_compare gates the *ratio*
-  // against the committed baseline (a ratio is host-speed-independent);
-  // the section is omitted when either is zero.
+  double telemetry_ratio = 0.0;
   double streaming_on_events_per_wall_sec = 0.0;
   double streaming_off_events_per_wall_sec = 0.0;
+  double streaming_ratio = 0.0;
+  // Host cost of the run digest (DigestTrace) per trace record, measured by
+  // bench_fleet over one node's whole-run window. Informational; the
+  // section is omitted when no records were digested.
+  size_t trace_digest_records = 0;
+  double trace_digest_ns_per_record = 0.0;
 };
 
 // Renders the full report. `timers` may be empty (the section is omitted);

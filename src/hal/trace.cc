@@ -109,18 +109,40 @@ uint64_t Fnv1a(uint64_t hash, const void* data, size_t len) {
   return hash;
 }
 
+namespace {
+
+// One digest step: xor in a word, multiply by an odd constant, xor-shift.
+// Each of the three is a bijection of the state, and the xor also makes the
+// step a bijection of the word, so two inputs that differ in exactly one word
+// never share a digest.
+constexpr uint64_t kDigestMultiplier = 0x9e3779b97f4a7c15ULL;
+constexpr uint64_t kDigestSeed = 0x243f6a8885a308d3ULL;
+
+inline uint64_t DigestStep(uint64_t state, uint64_t word) {
+  state = (state ^ word) * kDigestMultiplier;
+  return state ^ (state >> 32);
+}
+
+}  // namespace
+
 uint64_t DigestTrace(std::span<const TraceEvent> window, std::span<const uint64_t> counters) {
-  uint64_t hash = kFnv1aOffset;
+  // One lane per record word, so the three multiply chains run side by side.
+  uint64_t time_lane = kDigestSeed;
+  uint64_t head_lane = kDigestSeed + 1;
+  uint64_t tail_lane = kDigestSeed + 2;
   for (const TraceEvent& e : window) {
-    int64_t us = e.time.micros();
-    int32_t type = static_cast<int32_t>(e.type);
-    hash = Fnv1a(hash, &us, sizeof(us));
-    hash = Fnv1a(hash, &type, sizeof(type));
-    hash = Fnv1a(hash, &e.arg0, sizeof(e.arg0));
-    hash = Fnv1a(hash, &e.arg1, sizeof(e.arg1));
-    hash = Fnv1a(hash, &e.arg2, sizeof(e.arg2));
+    time_lane = DigestStep(time_lane, static_cast<uint64_t>(e.time.micros()));
+    head_lane = DigestStep(head_lane, static_cast<uint64_t>(e.type) |
+                                          uint64_t{static_cast<uint32_t>(e.arg0)} << 32);
+    tail_lane = DigestStep(tail_lane, uint64_t{static_cast<uint32_t>(e.arg1)} |
+                                          uint64_t{static_cast<uint32_t>(e.arg2)} << 32);
   }
-  return Fnv1a(hash, counters.data(), counters.size_bytes());
+  uint64_t hash = DigestStep(DigestStep(time_lane, head_lane), tail_lane);
+  hash = DigestStep(hash, window.size());
+  for (uint64_t counter : counters) {
+    hash = DigestStep(hash, counter);
+  }
+  return hash;
 }
 
 size_t TraceSink::ExportCsv(std::FILE* out) const {

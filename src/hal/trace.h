@@ -235,9 +235,14 @@ class TraceSink {
 inline constexpr uint64_t kFnv1aOffset = 0xcbf29ce484222325ULL;
 uint64_t Fnv1a(uint64_t hash, const void* data, size_t len);
 
-// Run digest of the fleet and torture harnesses: FNV-1a over every record of
-// `window` (time in us, type, arg0, arg1, arg2), then over the caller's
-// kernel counters. Equal digests == bit-identical runs.
+// Run digest of the fleet and torture harnesses. Each record of `window`
+// is packed into three 64-bit words (time in us; type | arg0 << 32;
+// arg1 | arg2 << 32), and each word is folded into its own lane by a step
+// that is a bijection of the lane state (xor, multiply by an odd constant,
+// xor-shift). The lanes are then combined with the same step, followed by
+// the window length and the caller's kernel counters. Equal digests ==
+// bit-identical runs; a change to any single field of any record, or to any
+// single counter, always changes the digest.
 uint64_t DigestTrace(std::span<const TraceEvent> window, std::span<const uint64_t> counters);
 
 }  // namespace emeralds

@@ -3,6 +3,7 @@
 // buckets and wall-clock throughput must stay ungated, and a candidate that
 // violates its own invariants must never pass.
 
+#include <cstdio>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -169,6 +170,51 @@ TEST(BenchCompareBreakdownTest, ReferenceMismatchFailsTheCandidate) {
   JsonValue base = Parse(BreakdownDoc(1000, 0.800, 5000));
   JsonValue cand = Parse(BreakdownDoc(1000, 0.800, 5000, /*mismatches=*/1));
   EXPECT_FALSE(CompareReports(base, cand, CompareOptions()).ok);
+}
+
+// --- emeralds.fleet.run/1 ---
+
+std::string FleetDoc(double streaming_ratio, double digest_ns_per_record) {
+  char buf[768];
+  std::snprintf(buf, sizeof(buf),
+                "{\"schema\":\"emeralds.fleet.run/1\",\"instances\":64,\"seed\":1,"
+                "\"run_duration_ms\":100,\"slice_ms\":5,\"timer_queue\":\"wheel\","
+                "\"nodes_failed\":0,\"events_total\":122157,"
+                "\"events_per_virtual_sec\":19085.9,\"fleet_digest\":\"0x1\","
+                "\"timers\":{\"speedup_10k\":20},"
+                "\"streaming_overhead\":{\"on_events_per_wall_sec\":1e6,"
+                "\"off_events_per_wall_sec\":1e6,\"ratio\":%.3f},"
+                "\"trace_digest\":{\"records\":5847,\"ns_per_record\":%.2f}}",
+                streaming_ratio, digest_ns_per_record);
+  return buf;
+}
+
+TEST(BenchCompareFleetTest, IdenticalReportsPass) {
+  JsonValue doc = Parse(FleetDoc(1.0, 3.0));
+  CompareResult r = CompareReports(doc, doc, CompareOptions());
+  EXPECT_TRUE(r.ok) << (r.failures.empty() ? "" : r.failures[0]);
+}
+
+TEST(BenchCompareFleetTest, StreamingRatioDropBeyondTripwireFails) {
+  JsonValue base = Parse(FleetDoc(1.0, 3.0));
+  EXPECT_TRUE(CompareReports(base, Parse(FleetDoc(0.80, 3.0)), CompareOptions()).ok);
+  CompareResult r = CompareReports(base, Parse(FleetDoc(0.70, 3.0)), CompareOptions());
+  EXPECT_FALSE(r.ok);
+  ASSERT_FALSE(r.failures.empty());
+  EXPECT_NE(r.failures[0].find("streaming overhead regressed"), std::string::npos)
+      << r.failures[0];
+}
+
+TEST(BenchCompareFleetTest, TraceDigestCostIsNotedButNotGated) {
+  JsonValue base = Parse(FleetDoc(1.0, 3.0));
+  // Ten times the per-record digest cost is host wall time: a note only.
+  CompareResult r = CompareReports(base, Parse(FleetDoc(1.0, 30.0)), CompareOptions());
+  EXPECT_TRUE(r.ok) << (r.failures.empty() ? "" : r.failures[0]);
+  bool noted = false;
+  for (const std::string& note : r.notes) {
+    noted = noted || note.find("trace digest 30.00 ns/record") != std::string::npos;
+  }
+  EXPECT_TRUE(noted);
 }
 
 TEST(BenchCompareFilesTest, MissingFileIsAnIoFailure) {

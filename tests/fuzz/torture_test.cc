@@ -1,10 +1,19 @@
 // Fixed-seed regression tests over the torture harness: a small sweep that
 // must stay clean, determinism (same seed => same digest), the tiny-ring
-// truncation contract, fault-injection coverage, and the shrinking bisector.
+// truncation contract (including lateness attribution in a truncated
+// window), fault-injection coverage, and the shrinking bisector.
+
+#include <cstdint>
+#include <set>
+#include <span>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/core/kernel.h"
 #include "src/fuzz/torture.h"
+#include "src/obs/postmortem.h"
 
 namespace emeralds {
 namespace fuzz {
@@ -180,6 +189,53 @@ TEST(TortureTest, TinyRingTruncationRefusesReconciliation) {
   // Token conservation degrades on truncation: consumes whose emits were
   // overwritten become counted orphan hops, never violations.
   EXPECT_EQ(result.chain_violations, 0u);
+}
+
+// Most tiny-ring windows hold no late job from release to completion, so
+// the postmortem engine's truncated-window path is pinned to a seed found by
+// scanning: seed 43 at 5000 ops keeps two whole late jobs in its 128-record
+// window, late jobs still open at the window's end, and misses of jobs whose
+// release was evicted.
+TEST(TortureTest, TinyRingWindowAttributesLateJobsAndCountsTruncatedMisses) {
+  TortureOptions options;
+  options.seed = 43;
+  options.ops = 5000;
+  options.tiny_trace_ring = true;
+  TortureResult result = RunTorture(options);
+  ASSERT_TRUE(result.ok) << result.failure;
+  EXPECT_GT(result.trace_dropped, 0u);
+  // A late job released and completed inside the window gets a full ledger,
+  // and every analyzed ledger sums exactly to its response time.
+  EXPECT_GT(result.postmortem_misses, 0u);
+  EXPECT_EQ(result.postmortem_conservation_failures, 0u);
+  // Late jobs released in the window but not completed in it are counted.
+  EXPECT_GT(result.postmortem_incomplete, 0u);
+
+  // A miss of a job whose release was evicted has no ledger to build; it is
+  // counted as unmatched (miss recorded before completion) or as
+  // deadline-unknown (miss recorded at completion), never dropped. Count
+  // such misses straight from the retained window.
+  uint64_t evicted_release_misses = 0;
+  uint64_t deadline_unknown = 0;
+  InspectTorture(options, [&](const Kernel& kernel) {
+    std::vector<TraceEvent> scratch;
+    std::span<const TraceEvent> window = kernel.trace().Window(&scratch);
+    std::set<std::pair<int32_t, int32_t>> released;
+    for (const TraceEvent& e : window) {
+      if (e.type == TraceEventType::kJobRelease) {
+        released.insert({e.arg0, e.arg1});
+      } else if (e.type == TraceEventType::kDeadlineMiss &&
+                 released.count({e.arg0, e.arg1}) == 0) {
+        ++evicted_release_misses;
+      }
+    }
+    deadline_unknown =
+        obs::AnalyzePostmortem(window.data(), window.size(), kernel.trace().dropped())
+            .deadline_unknown;
+  });
+  EXPECT_GT(evicted_release_misses, 0u);
+  EXPECT_GT(result.postmortem_unmatched, 0u);
+  EXPECT_EQ(result.postmortem_unmatched + deadline_unknown, evicted_release_misses);
 }
 
 TEST(TortureTest, FaultInjectionCoversAllFaultKinds) {
