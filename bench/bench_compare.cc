@@ -26,16 +26,6 @@ void Notef(CompareResult* r, const char* fmt, ...) {
   r->notes.push_back(buf);
 }
 
-double NumberOr(const JsonValue& obj, const char* key, double fallback) {
-  const JsonValue* v = obj.Find(key);
-  return v != nullptr && v->type == JsonValue::Type::kNumber ? v->number : fallback;
-}
-
-bool BoolOr(const JsonValue& obj, const char* key, bool fallback) {
-  const JsonValue* v = obj.Find(key);
-  return v != nullptr && v->type == JsonValue::Type::kBool ? v->boolean : fallback;
-}
-
 // --- emeralds.obs.cycles/1 ---
 
 // Buckets excluded from the growth gate: user time belongs to the workload,
@@ -54,22 +44,21 @@ void CompareCycles(const JsonValue& baseline, const JsonValue& candidate,
           base_c != nullptr ? "present" : "absent", cand_c != nullptr ? "present" : "absent");
     return;
   }
-  if (!BoolOr(*cand_c, "conserved", false) || !BoolOr(*cand_c, "clock_conserved", false)) {
+  if (!cand_c->BoolOr("conserved", false) || !cand_c->BoolOr("clock_conserved", false)) {
     Failf(r, "candidate ledger not conserved (residual %.0f ns, unattributed %.0f ns)",
-          NumberOr(*cand_c, "residual_ns", -1), NumberOr(*cand_c, "clock_unattributed_ns", -1));
+          cand_c->NumberOr("residual_ns", -1), cand_c->NumberOr("clock_unattributed_ns", -1));
   }
-  double base_elapsed = NumberOr(*base_c, "elapsed_ns", -1);
-  double cand_elapsed = NumberOr(*cand_c, "elapsed_ns", -2);
+  double base_elapsed = base_c->NumberOr("elapsed_ns", -1);
+  double cand_elapsed = cand_c->NumberOr("elapsed_ns", -2);
   if (base_elapsed != cand_elapsed) {
     Failf(r, "elapsed_ns differs: baseline %.0f vs candidate %.0f (virtual time is "
              "deterministic; regenerate the baseline if the workload changed)",
           base_elapsed, cand_elapsed);
     return;
   }
-  const JsonValue* base_b = base_c->Find("buckets_ns");
-  const JsonValue* cand_b = cand_c->Find("buckets_ns");
-  if (base_b == nullptr || base_b->type != JsonValue::Type::kObject || cand_b == nullptr ||
-      cand_b->type != JsonValue::Type::kObject) {
+  const JsonValue* base_b = base_c->Find("buckets_ns", JsonValue::Type::kObject);
+  const JsonValue* cand_b = cand_c->Find("buckets_ns", JsonValue::Type::kObject);
+  if (base_b == nullptr || cand_b == nullptr) {
     Failf(r, "buckets_ns object missing");
     return;
   }
@@ -80,7 +69,7 @@ void CompareCycles(const JsonValue& baseline, const JsonValue& candidate,
       continue;
     }
     double cand = kv.second.number;
-    double base = NumberOr(*base_b, kv.first.c_str(), 0.0);
+    double base = base_b->NumberOr(kv.first, 0.0);
     double ceiling = base * (1.0 + opt.rel_tolerance) + static_cast<double>(opt.abs_slack_ns);
     if (cand > ceiling) {
       Failf(r, "bucket %s regressed: %.0f ns vs baseline %.0f ns (+%.1f%%, ceiling %.0f)",
@@ -103,10 +92,9 @@ void CompareCycles(const JsonValue& baseline, const JsonValue& candidate,
 
 void CompareBreakdown(const JsonValue& baseline, const JsonValue& candidate,
                       const CompareOptions& opt, CompareResult* r) {
-  const JsonValue* base_p = baseline.Find("points");
-  const JsonValue* cand_p = candidate.Find("points");
-  if (base_p == nullptr || base_p->type != JsonValue::Type::kArray || cand_p == nullptr ||
-      cand_p->type != JsonValue::Type::kArray) {
+  const JsonValue* base_p = baseline.Find("points", JsonValue::Type::kArray);
+  const JsonValue* cand_p = candidate.Find("points", JsonValue::Type::kArray);
+  if (base_p == nullptr || cand_p == nullptr) {
     Failf(r, "points array missing");
     return;
   }
@@ -119,34 +107,34 @@ void CompareBreakdown(const JsonValue& baseline, const JsonValue& candidate,
   for (size_t i = 0; i < base_p->array.size(); ++i) {
     const JsonValue& base = base_p->array[i];
     const JsonValue& cand = cand_p->array[i];
-    double n = NumberOr(base, "n", -1);
-    if (n != NumberOr(cand, "n", -2)) {
+    double n = base.NumberOr("n", -1);
+    if (n != cand.NumberOr("n", -2)) {
       Failf(r, "point %zu: n differs (baseline %.0f vs candidate %.0f)", i, n,
-            NumberOr(cand, "n", -2));
+            cand.NumberOr("n", -2));
       continue;
     }
-    if (NumberOr(cand, "reference_mismatches", -1) != 0.0) {
+    if (cand.NumberOr("reference_mismatches", -1) != 0.0) {
       Failf(r, "n=%.0f: candidate has %.0f reference mismatches", n,
-            NumberOr(cand, "reference_mismatches", -1));
+            cand.NumberOr("reference_mismatches", -1));
     }
     const JsonValue* base_e = base.Find("evals");
     const JsonValue* cand_e = cand.Find("evals");
-    double base_full = base_e != nullptr ? NumberOr(*base_e, "full_evals", -1) : -1;
-    double cand_full = cand_e != nullptr ? NumberOr(*cand_e, "full_evals", -1) : -1;
+    double base_full = base_e != nullptr ? base_e->NumberOr("full_evals", -1) : -1;
+    double cand_full = cand_e != nullptr ? cand_e->NumberOr("full_evals", -1) : -1;
     if (base_full < 0 || cand_full < 0) {
       Failf(r, "n=%.0f: evals.full_evals missing", n);
     } else if (cand_full > base_full * (1.0 + opt.rel_tolerance)) {
       Failf(r, "n=%.0f: full_evals regressed %.0f -> %.0f (+%.1f%%)", n, base_full, cand_full,
             base_full > 0 ? 100.0 * (cand_full - base_full) / base_full : 0.0);
     }
-    double base_red = NumberOr(base, "eval_reduction", 0.0);
-    double cand_red = NumberOr(cand, "eval_reduction", 0.0);
+    double base_red = base.NumberOr("eval_reduction", 0.0);
+    double cand_red = cand.NumberOr("eval_reduction", 0.0);
     if (cand_red < base_red * (1.0 - opt.rel_tolerance)) {
       Failf(r, "n=%.0f: eval_reduction regressed %.3f -> %.3f", n, base_red, cand_red);
     }
     // Wall-clock throughput is machine-dependent: informational only.
-    double base_wps = NumberOr(base, "workloads_per_sec", 0.0);
-    double cand_wps = NumberOr(cand, "workloads_per_sec", 0.0);
+    double base_wps = base.NumberOr("workloads_per_sec", 0.0);
+    double cand_wps = cand.NumberOr("workloads_per_sec", 0.0);
     if (base_wps > 0 && cand_wps > 0 && std::fabs(cand_wps - base_wps) > 0.25 * base_wps) {
       Notef(r, "n=%.0f: workloads_per_sec %.0f vs baseline %.0f (not gated)", n, cand_wps,
             base_wps);
@@ -156,23 +144,18 @@ void CompareBreakdown(const JsonValue& baseline, const JsonValue& candidate,
 
 // --- emeralds.fleet.run/1 ---
 
-const char* StringOr(const JsonValue& obj, const char* key, const char* fallback) {
-  const JsonValue* v = obj.Find(key);
-  return v != nullptr && v->type == JsonValue::Type::kString ? v->string.c_str() : fallback;
-}
-
 void CompareFleet(const JsonValue& baseline, const JsonValue& candidate,
                   const CompareOptions& opt, CompareResult* r) {
   // The candidate must pass its own oracles before any baseline comparison.
-  double failed = NumberOr(candidate, "nodes_failed", -1);
+  double failed = candidate.NumberOr("nodes_failed", -1);
   if (failed != 0.0) {
     Failf(r, "candidate has %.0f failed node(s): %s", failed,
-          StringOr(candidate, "first_failure", "?"));
+          candidate.StringOr("first_failure", "?"));
   }
   // The run configuration must match, or the aggregates are incomparable.
   for (const char* key : {"instances", "seed", "run_duration_ms", "slice_ms"}) {
-    double base = NumberOr(baseline, key, -1);
-    double cand = NumberOr(candidate, key, -2);
+    double base = baseline.NumberOr(key, -1);
+    double cand = candidate.NumberOr(key, -2);
     if (base != cand) {
       Failf(r, "%s differs: baseline %.0f vs candidate %.0f (regenerate the baseline if the "
                "fleet configuration changed)",
@@ -180,17 +163,17 @@ void CompareFleet(const JsonValue& baseline, const JsonValue& candidate,
       return;
     }
   }
-  if (std::string(StringOr(baseline, "timer_queue", "?")) !=
-      StringOr(candidate, "timer_queue", "??")) {
+  if (std::string(baseline.StringOr("timer_queue", "?")) !=
+      candidate.StringOr("timer_queue", "??")) {
     Failf(r, "timer_queue differs: baseline %s vs candidate %s",
-          StringOr(baseline, "timer_queue", "?"), StringOr(candidate, "timer_queue", "??"));
+          baseline.StringOr("timer_queue", "?"), candidate.StringOr("timer_queue", "??"));
     return;
   }
   // Deterministic aggregates: any drift means simulated behavior changed, so
   // hold them to the relative tolerance in both directions.
   for (const char* key : {"events_total", "events_per_virtual_sec"}) {
-    double base = NumberOr(baseline, key, -1);
-    double cand = NumberOr(candidate, key, -2);
+    double base = baseline.NumberOr(key, -1);
+    double cand = candidate.NumberOr(key, -2);
     if (base <= 0 || cand <= 0) {
       Failf(r, "%s missing or non-positive", key);
       continue;
@@ -203,30 +186,30 @@ void CompareFleet(const JsonValue& baseline, const JsonValue& candidate,
       Notef(r, "%s: %.0f vs baseline %.0f (within tolerance)", key, cand, base);
     }
   }
-  if (std::string(StringOr(baseline, "fleet_digest", "?")) !=
-      StringOr(candidate, "fleet_digest", "??")) {
+  if (std::string(baseline.StringOr("fleet_digest", "?")) !=
+      candidate.StringOr("fleet_digest", "??")) {
     Notef(r, "fleet_digest differs (baseline %s vs %s): per-node traces changed",
-          StringOr(baseline, "fleet_digest", "?"), StringOr(candidate, "fleet_digest", "??"));
+          baseline.StringOr("fleet_digest", "?"), candidate.StringOr("fleet_digest", "??"));
   }
   for (const char* key : {"deadline_misses", "chain_overruns"}) {
-    double base = NumberOr(baseline, key, 0.0);
-    double cand = NumberOr(candidate, key, 0.0);
+    double base = baseline.NumberOr(key, 0.0);
+    double cand = candidate.NumberOr(key, 0.0);
     if (cand != base) {
       Notef(r, "%s: %.0f vs baseline %.0f (not gated)", key, cand, base);
     }
   }
   // The wheel-vs-list bar: an absolute floor, not a baseline delta — host
   // timings wobble, but 5x leaves a wide margin over any wobble.
-  const JsonValue* timers = candidate.Find("timers");
-  if (timers == nullptr || timers->type != JsonValue::Type::kObject) {
+  const JsonValue* timers = candidate.Find("timers", JsonValue::Type::kObject);
+  if (timers == nullptr) {
     Failf(r, "candidate has no timers section");
   } else {
-    double speedup = NumberOr(*timers, "speedup_10k", -1);
+    double speedup = timers->NumberOr("speedup_10k", -1);
     if (speedup < 5.0) {
       Failf(r, "wheel speedup at 10k pending is %.1fx (floor 5x)", speedup);
     }
     const JsonValue* base_t = baseline.Find("timers");
-    double base_speedup = base_t != nullptr ? NumberOr(*base_t, "speedup_10k", 0.0) : 0.0;
+    double base_speedup = base_t != nullptr ? base_t->NumberOr("speedup_10k", 0.0) : 0.0;
     if (base_speedup > 0) {
       Notef(r, "speedup_10k: %.1fx vs baseline %.1fx (floor-gated only)", speedup,
             base_speedup);
@@ -241,15 +224,14 @@ void CompareFleet(const JsonValue& baseline, const JsonValue& candidate,
   if (base_tel != nullptr && cand_tel == nullptr) {
     Failf(r, "baseline has a telemetry section but the candidate does not");
   } else if (base_tel != nullptr && cand_tel != nullptr) {
-    const JsonValue* base_chains = base_tel->Find("chains");
-    const JsonValue* cand_chains = cand_tel->Find("chains");
-    if (base_chains != nullptr && base_chains->type == JsonValue::Type::kArray &&
-        cand_chains != nullptr && cand_chains->type == JsonValue::Type::kArray) {
+    const JsonValue* base_chains = base_tel->Find("chains", JsonValue::Type::kArray);
+    const JsonValue* cand_chains = cand_tel->Find("chains", JsonValue::Type::kArray);
+    if (base_chains != nullptr && cand_chains != nullptr) {
       for (const JsonValue& bc : base_chains->array) {
-        const char* name = StringOr(bc, "name", "?");
+        const char* name = bc.StringOr("name", "?");
         const JsonValue* cc = nullptr;
         for (const JsonValue& c : cand_chains->array) {
-          if (std::string(StringOr(c, "name", "")) == name) {
+          if (std::string(c.StringOr("name", "")) == name) {
             cc = &c;
             break;
           }
@@ -265,8 +247,8 @@ void CompareFleet(const JsonValue& baseline, const JsonValue& candidate,
           continue;
         }
         for (const char* key : {"p50_us", "p90_us", "p99_us"}) {
-          double base = NumberOr(*be, key, -1);
-          double cand = NumberOr(*ce, key, -2);
+          double base = be->NumberOr(key, -1);
+          double cand = ce->NumberOr(key, -2);
           if (base < 0 || cand < 0) {
             Failf(r, "telemetry chain \"%s\" missing %s", name, key);
             continue;
@@ -288,8 +270,8 @@ void CompareFleet(const JsonValue& baseline, const JsonValue& candidate,
   const JsonValue* overhead = candidate.Find("telemetry_overhead");
   if (overhead != nullptr) {
     Notef(r, "telemetry overhead ratio %.3f (on %.0f vs off %.0f events/s wall, not gated)",
-          NumberOr(*overhead, "ratio", 0.0), NumberOr(*overhead, "on_events_per_wall_sec", 0.0),
-          NumberOr(*overhead, "off_events_per_wall_sec", 0.0));
+          overhead->NumberOr("ratio", 0.0), overhead->NumberOr("on_events_per_wall_sec", 0.0),
+          overhead->NumberOr("off_events_per_wall_sec", 0.0));
   }
   // Streaming-collection overhead IS gated, as a ratio: both sides of the
   // division ran on the same host in the same process, so the ratio is
@@ -304,12 +286,12 @@ void CompareFleet(const JsonValue& baseline, const JsonValue& candidate,
   const JsonValue* base_streaming = baseline.Find("streaming_overhead");
   if (streaming != nullptr && base_streaming == nullptr) {
     Notef(r, "streaming overhead ratio %.3f (baseline lacks the section, not gated)",
-          NumberOr(*streaming, "ratio", 0.0));
+          streaming->NumberOr("ratio", 0.0));
   } else if (streaming == nullptr && base_streaming != nullptr) {
     Failf(r, "baseline has a streaming_overhead section but the candidate lost it");
   } else if (streaming != nullptr && base_streaming != nullptr) {
-    double base_ratio = NumberOr(*base_streaming, "ratio", 0.0);
-    double cand_ratio = NumberOr(*streaming, "ratio", 0.0);
+    double base_ratio = base_streaming->NumberOr("ratio", 0.0);
+    double cand_ratio = streaming->NumberOr("ratio", 0.0);
     if (base_ratio <= 0 || cand_ratio <= 0) {
       Failf(r, "streaming_overhead ratio missing or non-positive (baseline %.3f, candidate %.3f)",
             base_ratio, cand_ratio);
@@ -328,15 +310,15 @@ void CompareFleet(const JsonValue& baseline, const JsonValue& candidate,
   const JsonValue* base_digest = baseline.Find("trace_digest");
   if (digest != nullptr && base_digest != nullptr) {
     Notef(r, "trace digest %.2f ns/record over %.0f records vs baseline %.2f (not gated)",
-          NumberOr(*digest, "ns_per_record", 0.0), NumberOr(*digest, "records", 0.0),
-          NumberOr(*base_digest, "ns_per_record", 0.0));
+          digest->NumberOr("ns_per_record", 0.0), digest->NumberOr("records", 0.0),
+          base_digest->NumberOr("ns_per_record", 0.0));
   } else if (digest != nullptr) {
     Notef(r, "trace digest %.2f ns/record over %.0f records (not gated)",
-          NumberOr(*digest, "ns_per_record", 0.0), NumberOr(*digest, "records", 0.0));
+          digest->NumberOr("ns_per_record", 0.0), digest->NumberOr("records", 0.0));
   }
   // Wall-clock throughput is machine-dependent: informational only.
-  double base_wps = NumberOr(baseline, "events_per_wall_sec", 0.0);
-  double cand_wps = NumberOr(candidate, "events_per_wall_sec", 0.0);
+  double base_wps = baseline.NumberOr("events_per_wall_sec", 0.0);
+  double cand_wps = candidate.NumberOr("events_per_wall_sec", 0.0);
   if (base_wps > 0 && cand_wps > 0 && std::fabs(cand_wps - base_wps) > 0.25 * base_wps) {
     Notef(r, "events_per_wall_sec %.0f vs baseline %.0f (not gated)", cand_wps, base_wps);
   }
@@ -348,10 +330,9 @@ void CompareSmp(const JsonValue& baseline, const JsonValue& candidate,
                 const CompareOptions& opt, CompareResult* r) {
   // The run is pure virtual time, so the throughput integers are
   // deterministic: any drift means partitioned-SMP behavior changed.
-  const JsonValue* base_rows = baseline.Find("throughput");
-  const JsonValue* cand_rows = candidate.Find("throughput");
-  if (base_rows == nullptr || base_rows->type != JsonValue::Type::kArray ||
-      cand_rows == nullptr || cand_rows->type != JsonValue::Type::kArray) {
+  const JsonValue* base_rows = baseline.Find("throughput", JsonValue::Type::kArray);
+  const JsonValue* cand_rows = candidate.Find("throughput", JsonValue::Type::kArray);
+  if (base_rows == nullptr || cand_rows == nullptr) {
     Failf(r, "throughput array missing");
     return;
   }
@@ -363,18 +344,18 @@ void CompareSmp(const JsonValue& baseline, const JsonValue& candidate,
   for (size_t i = 0; i < base_rows->array.size(); ++i) {
     const JsonValue& base = base_rows->array[i];
     const JsonValue& cand = cand_rows->array[i];
-    double cores = NumberOr(base, "num_cores", -1);
-    if (cores != NumberOr(cand, "num_cores", -2)) {
+    double cores = base.NumberOr("num_cores", -1);
+    if (cores != cand.NumberOr("num_cores", -2)) {
       Failf(r, "row %zu: num_cores differs (baseline %.0f vs candidate %.0f)", i, cores,
-            NumberOr(cand, "num_cores", -2));
+            cand.NumberOr("num_cores", -2));
       continue;
     }
-    if (!BoolOr(cand, "conserved", false)) {
+    if (!cand.BoolOr("conserved", false)) {
       Failf(r, "%.0f-core candidate run is not cycle-conserved", cores);
     }
     for (const char* key : {"user_ns", "idle_ns", "ipis", "jobs_completed"}) {
-      double base_v = NumberOr(base, key, -1);
-      double cand_v = NumberOr(cand, key, -2);
+      double base_v = base.NumberOr(key, -1);
+      double cand_v = cand.NumberOr(key, -2);
       if (std::fabs(cand_v - base_v) > std::fabs(base_v) * opt.rel_tolerance) {
         Failf(r, "%.0f-core %s drifted: %.0f vs baseline %.0f (virtual time is deterministic; "
                  "regenerate the baseline if the workload changed)",
@@ -386,11 +367,11 @@ void CompareSmp(const JsonValue& baseline, const JsonValue& candidate,
     }
   }
   // The scaling floor is absolute, like the fleet's wheel speedup.
-  double ratio2 = NumberOr(candidate, "ratio_2core", -1);
+  double ratio2 = candidate.NumberOr("ratio_2core", -1);
   if (ratio2 < 1.7) {
     Failf(r, "2-core user-cycle scaling is %.3fx (floor 1.7x)", ratio2);
   }
-  double base_ratio2 = NumberOr(baseline, "ratio_2core", 0.0);
+  double base_ratio2 = baseline.NumberOr("ratio_2core", 0.0);
   if (base_ratio2 > 0 && ratio2 < base_ratio2 * (1.0 - opt.rel_tolerance)) {
     Failf(r, "ratio_2core regressed: %.3f vs baseline %.3f", ratio2, base_ratio2);
   }
@@ -398,19 +379,18 @@ void CompareSmp(const JsonValue& baseline, const JsonValue& candidate,
   const JsonValue* base_adm = baseline.Find("admission");
   const JsonValue* cand_adm = candidate.Find("admission");
   const JsonValue* base_pts =
-      base_adm != nullptr ? base_adm->Find("points") : nullptr;
+      base_adm != nullptr ? base_adm->Find("points", JsonValue::Type::kArray) : nullptr;
   const JsonValue* cand_pts =
-      cand_adm != nullptr ? cand_adm->Find("points") : nullptr;
-  if (base_pts == nullptr || base_pts->type != JsonValue::Type::kArray || cand_pts == nullptr ||
-      cand_pts->type != JsonValue::Type::kArray ||
+      cand_adm != nullptr ? cand_adm->Find("points", JsonValue::Type::kArray) : nullptr;
+  if (base_pts == nullptr || cand_pts == nullptr ||
       base_pts->array.size() != cand_pts->array.size()) {
     Failf(r, "admission points missing or count differs");
     return;
   }
   for (size_t i = 0; i < base_pts->array.size(); ++i) {
     for (const char* key : {"admitted_1core", "admitted_2core", "admitted_4core"}) {
-      double base_v = NumberOr(base_pts->array[i], key, -1);
-      double cand_v = NumberOr(cand_pts->array[i], key, -2);
+      double base_v = base_pts->array[i].NumberOr(key, -1);
+      double cand_v = cand_pts->array[i].NumberOr(key, -2);
       if (base_v != cand_v) {
         Failf(r, "admission point %zu: %s differs (%.0f vs baseline %.0f; the sweep is "
                  "seeded — regenerate the baseline if the search changed)",
@@ -425,11 +405,9 @@ void CompareSmp(const JsonValue& baseline, const JsonValue& candidate,
 CompareResult CompareReports(const JsonValue& baseline, const JsonValue& candidate,
                              const CompareOptions& options) {
   CompareResult r;
-  const JsonValue* base_schema = baseline.Find("schema");
-  const JsonValue* cand_schema = candidate.Find("schema");
-  if (base_schema == nullptr || cand_schema == nullptr ||
-      base_schema->type != JsonValue::Type::kString ||
-      cand_schema->type != JsonValue::Type::kString) {
+  const JsonValue* base_schema = baseline.Find("schema", JsonValue::Type::kString);
+  const JsonValue* cand_schema = candidate.Find("schema", JsonValue::Type::kString);
+  if (base_schema == nullptr || cand_schema == nullptr) {
     Failf(&r, "schema tag missing");
     return r;
   }
@@ -460,21 +438,9 @@ CompareResult CompareReportFiles(const std::string& baseline_path,
   JsonValue docs[2];
   const std::string* paths[2] = {&baseline_path, &candidate_path};
   for (int i = 0; i < 2; ++i) {
-    std::FILE* f = std::fopen(paths[i]->c_str(), "rb");
-    if (f == nullptr) {
-      Failf(&r, "cannot open %s", paths[i]->c_str());
-      return r;
-    }
-    std::string text;
-    char buf[4096];
-    size_t got;
-    while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-      text.append(buf, got);
-    }
-    std::fclose(f);
     std::string error;
-    if (!JsonParse(text, &docs[i], &error)) {
-      Failf(&r, "%s does not parse: %s", paths[i]->c_str(), error.c_str());
+    if (!JsonParseFile(*paths[i], &docs[i], &error)) {
+      r.failures.push_back(error);
       return r;
     }
   }

@@ -6,38 +6,45 @@
 // Exit status: 0 within tolerance, 1 regression (or the candidate violates
 // its own invariants), 2 usage / I/O / parse failure.
 
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 #include "bench/bench_compare.h"
+#include "src/base/flags.h"
 
 int main(int argc, char** argv) {
   using emeralds::bench::CompareOptions;
   using emeralds::bench::CompareReportFiles;
   using emeralds::bench::CompareResult;
 
+  const emeralds::FlagContext flags{
+      "bench_compare",
+      "usage: bench_compare <baseline.json> <candidate.json> [--tolerance=0.03]\n"
+      "                     [--abs-slack-ns=20000]\n"};
   const char* baseline = nullptr;
   const char* candidate = nullptr;
   CompareOptions options;
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--tolerance=", 12) == 0) {
-      options.rel_tolerance = std::atof(argv[i] + 12);
-    } else if (std::strncmp(argv[i], "--abs-slack-ns=", 15) == 0) {
-      options.abs_slack_ns = std::atoll(argv[i] + 15);
+    const char* v = nullptr;
+    if (emeralds::FlagValue(argv[i], "--tolerance", &v)) {
+      if (!flags.Double("--tolerance", v, 0.0, 1e6, &options.rel_tolerance)) {
+        return 2;
+      }
+    } else if (emeralds::FlagValue(argv[i], "--abs-slack-ns", &v)) {
+      if (!flags.Int<int64_t>("--abs-slack-ns", v, 0, INT64_MAX, &options.abs_slack_ns)) {
+        return 2;
+      }
+    } else if (argv[i][0] == '-' || candidate != nullptr) {
+      flags.Fail("unknown argument '%s'", argv[i]);
+      return 2;
     } else if (baseline == nullptr) {
       baseline = argv[i];
-    } else if (candidate == nullptr) {
-      candidate = argv[i];
     } else {
-      baseline = nullptr;
-      break;
+      candidate = argv[i];
     }
   }
-  if (baseline == nullptr || candidate == nullptr) {
-    std::fprintf(stderr,
-                 "usage: bench_compare <baseline.json> <candidate.json> "
-                 "[--tolerance=0.03] [--abs-slack-ns=20000]\n");
+  if (candidate == nullptr) {
+    flags.Fail("need a baseline and a candidate report");
     return 2;
   }
 

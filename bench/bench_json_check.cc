@@ -959,23 +959,10 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  std::FILE* f = std::fopen(argv[1], "rb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "FAIL: cannot open %s\n", argv[1]);
-    return 1;
-  }
-  std::string text;
-  char buf[4096];
-  size_t got;
-  while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    text.append(buf, got);
-  }
-  std::fclose(f);
-
   JsonValue root;
   std::string error;
-  if (!JsonParse(text, &root, &error)) {
-    std::fprintf(stderr, "FAIL: %s does not parse: %s\n", argv[1], error.c_str());
+  if (!JsonParseFile(argv[1], &root, &error)) {
+    std::fprintf(stderr, "FAIL: %s\n", error.c_str());
     return 1;
   }
 

@@ -25,7 +25,7 @@ namespace {
 // bundle there: <slug>.trace.csv (TraceSink window), <slug>.perfetto.json
 // (load at ui.perfetto.dev), <slug>.run.json (emeralds.obs.run/1). The
 // obs_smoke CTest label runs the RM scenario this way and feeds the bundle
-// through bench_json_check and trace_inspect.
+// through bench_json_check and fleet_inspect --trace.
 void ExportObsBundle(const char* slug, const char* scheduler, Kernel& kernel,
                      const std::vector<ThreadId>& ids, Duration horizon) {
   const char* dir = std::getenv("EMERALDS_OBS_DIR");

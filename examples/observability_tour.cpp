@@ -10,7 +10,7 @@
 //      response/blocking histograms and the invariant verdict,
 //   4. writes observability_tour.{trace.csv,perfetto.json,run.json} into the
 //      current directory — open the perfetto file at ui.perfetto.dev, feed
-//      the CSV + run report to trace_inspect.
+//      the CSV + run report to fleet_inspect --trace=... --run=....
 
 #include <cstdio>
 #include <vector>

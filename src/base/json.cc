@@ -68,6 +68,31 @@ const JsonValue* JsonValue::Find(const std::string& key) const {
   return nullptr;
 }
 
+const JsonValue* JsonValue::Find(const std::string& key, Type member_type) const {
+  const JsonValue* v = Find(key);
+  return v != nullptr && v->type == member_type ? v : nullptr;
+}
+
+double JsonValue::NumberOr(const std::string& key, double fallback) const {
+  const JsonValue* v = Find(key, Type::kNumber);
+  return v != nullptr ? v->number : fallback;
+}
+
+int64_t JsonValue::IntOr(const std::string& key, int64_t fallback) const {
+  const JsonValue* v = Find(key, Type::kNumber);
+  return v != nullptr ? static_cast<int64_t>(v->number) : fallback;
+}
+
+bool JsonValue::BoolOr(const std::string& key, bool fallback) const {
+  const JsonValue* v = Find(key, Type::kBool);
+  return v != nullptr ? v->boolean : fallback;
+}
+
+const char* JsonValue::StringOr(const std::string& key, const char* fallback) const {
+  const JsonValue* v = Find(key, Type::kString);
+  return v != nullptr ? v->string.c_str() : fallback;
+}
+
 namespace {
 
 class JsonParser {
@@ -335,6 +360,27 @@ class JsonParser {
 bool JsonParse(const std::string& text, JsonValue* out, std::string* error) {
   std::string unused;
   return JsonParser(text, error != nullptr ? error : &unused).Parse(out);
+}
+
+bool JsonParseFile(const std::string& path, JsonValue* out, std::string* error) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) {
+    *error = "cannot open " + path;
+    return false;
+  }
+  std::string text;
+  char buf[4096];
+  size_t got = 0;
+  while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) {
+    text.append(buf, got);
+  }
+  std::fclose(f);
+  std::string detail;
+  if (!JsonParse(text, out, &detail)) {
+    *error = path + " does not parse: " + detail;
+    return false;
+  }
+  return true;
 }
 
 }  // namespace emeralds

@@ -26,11 +26,24 @@ struct JsonValue {
 
   // Object member lookup; nullptr when absent or not an object.
   const JsonValue* Find(const std::string& key) const;
+  // Member lookup that also requires the member's type; nullptr otherwise.
+  const JsonValue* Find(const std::string& key, Type member_type) const;
+
+  // Typed member values, or `fallback` when the member is absent or has
+  // another type. IntOr truncates the number toward zero.
+  double NumberOr(const std::string& key, double fallback) const;
+  int64_t IntOr(const std::string& key, int64_t fallback) const;
+  bool BoolOr(const std::string& key, bool fallback) const;
+  const char* StringOr(const std::string& key, const char* fallback) const;
 };
 
 // Strict recursive-descent parse of one complete JSON document. On failure
 // returns false and describes the problem (with a byte offset) in *error.
 bool JsonParse(const std::string& text, JsonValue* out, std::string* error);
+
+// Reads and parses the file at `path`. On failure returns false with *error
+// set to "cannot open <path>" or "<path> does not parse: <detail>".
+bool JsonParseFile(const std::string& path, JsonValue* out, std::string* error);
 
 // --- Writer helpers (append to a std::string buffer) ---
 

@@ -46,7 +46,7 @@ class ThreadPool {
   void Wait();
 
   // Index of the pool worker running the current thread, -1 off-pool.
-  // Torture's --jobs mode uses it to separate per-worker artifacts.
+  // RunFleet uses it to refuse being called from a worker.
   static int CurrentWorker();
 
   // Convenience: fn(index) for index in [0, count), load-balanced across the

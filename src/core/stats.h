@@ -183,8 +183,8 @@ void PrintKernelStats(const KernelStats& stats, std::FILE* out = stdout);
 // The hard invariant behind the ledger: between cycles_epoch and `now`, every
 // virtual tick the kernel spent is in exactly one bucket, so the bucket sum
 // equals elapsed time with zero residual. Checked by obs_report, the trace
-// analyzer cross-check in trace_inspect, and the torture harness's fourth
-// oracle.
+// analyzer cross-check in fleet_inspect --run, and the torture harness's
+// fourth oracle.
 struct CycleConservation {
   Duration elapsed;       // now - cycles_epoch
   Duration ledger_total;  // sum over all buckets

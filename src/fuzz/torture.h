@@ -157,7 +157,7 @@ bool ExportTortureTraceCsv(const TortureOptions& options, const std::string& pat
 
 // Writes the standard black-box forensic bundle for one run under `dir`
 // (repro.txt, trace.csv, blackbox.json — the same layout the fleet's flight
-// recorder emits, so fleet_inspect/trace_inspect tooling reads both).
+// recorder emits, so fleet_inspect --trace reads both).
 // Re-runs the seed deterministically; `result` supplies the failure text.
 // `extra_repro` (e.g. the shrunk repro line) is appended to repro.txt when
 // non-empty. Returns false when the bundle cannot be written.

@@ -219,7 +219,8 @@ class TraceSink {
 
   // Writes the retained events as CSV (time_us,event,arg0,arg1,arg2) to
   // `out`, for external plotting (Gantt charts of the schedule) and
-  // trace_inspect replay. When events were dropped, a trailing "# dropped=N"
+  // fleet_inspect --trace replay. When events were dropped, a trailing
+  // "# dropped=N"
   // comment line records the loss. Returns the number of data rows written.
   size_t ExportCsv(std::FILE* out) const;
 

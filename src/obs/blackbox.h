@@ -11,7 +11,7 @@
 //   <dir>/repro.txt       one-line repro command + the anomaly reason
 //   <dir>/trace.csv       the trace window, TraceSink::ExportCsv format
 //                         (re-importable by obs::ImportTraceCsv and every
-//                         CSV-consuming tool: trace_inspect, fleet_inspect)
+//                         CSV-consuming tool: fleet_inspect --trace)
 //   <dir>/blackbox.json   machine-readable snapshot: stats counters, the
 //                         node telemetry block, the chain analysis
 //

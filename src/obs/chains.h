@@ -116,7 +116,7 @@ struct ChainAnalysis {
   uint64_t unconsumed_emits = 0;  // emits never picked up (banked/overwritten
                                   // tokens, unread slots) — informational
   // Packed endpoint -> (emits, consumes) over every chain event in the
-  // window, malformed ones included: the trace_inspect --chains table.
+  // window, malformed ones included: the fleet_inspect --chains table.
   std::map<int32_t, std::pair<uint64_t, uint64_t>> endpoint_traffic;
   std::vector<ChainReport> chains;  // one per spec, same order
   std::vector<ChainViolation> violations;

@@ -5,8 +5,8 @@
 // CollectPerTaskStats, the trace-derived TraceAnalysis (histograms, invariant
 // violations), the periodic StatsSampler time series, and a reconciliation
 // block stating whether the analyzer's replay agrees with the kernel's
-// counters. bench_json_check validates the schema; trace_inspect consumes the
-// report to cross-check an exported trace against it.
+// counters. bench_json_check validates the schema; fleet_inspect --run
+// consumes the report to cross-check an exported trace against it.
 
 #ifndef SRC_OBS_OBS_REPORT_H_
 #define SRC_OBS_OBS_REPORT_H_

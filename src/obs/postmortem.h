@@ -150,8 +150,8 @@ void AppendBlameTotals(Json& j, const BlameTotals& blame);
 std::string BuildPostmortemReport(const std::string& label, const PostmortemAnalysis& analysis,
                                   const ChainAnalysis* chains);
 
-// Human-readable rendering (trace_inspect --postmortem, fleet_inspect
-// --postmortem=N drill-down).
+// Human-readable rendering (fleet_inspect --postmortem over a trace or a
+// replayed node).
 void PrintPostmortem(std::FILE* out, const PostmortemAnalysis& analysis,
                      const ChainAnalysis* chains);
 

@@ -6,7 +6,8 @@
 // per-task response-time and blocking-time histograms, preemption counts, PI
 // chain depth, CSE savings — the quantities EMERALDS' evaluation is about —
 // plus structural invariant checks that catch both kernel bugs and corrupted
-// trace files. trace_inspect, the obs run report, and the obs_smoke CI label
+// trace files. fleet_inspect --trace, the obs run report, and the obs_smoke
+// CI label
 // are built on it.
 
 #ifndef SRC_OBS_TRACE_ANALYZER_H_

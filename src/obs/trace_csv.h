@@ -2,9 +2,9 @@
 //
 // The CSV export (time_us,event,arg0,arg1,arg2 plus an optional trailing
 // "# dropped=N" comment; legacy 4-field rows import with arg2 = 0) is the
-// trace interchange format: benches write it
-// next to their JSON reports, and trace_inspect re-imports it here to replay
-// the run through the analyzer offline.
+// trace interchange format: benches write it next to their JSON reports,
+// and fleet_inspect --trace re-imports it here to replay the run through the
+// analyzer offline.
 
 #ifndef SRC_OBS_TRACE_CSV_H_
 #define SRC_OBS_TRACE_CSV_H_

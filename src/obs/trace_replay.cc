@@ -651,6 +651,7 @@ struct PmThread {
   bool have_last_complete = false;
   Instant last_complete;
   uint64_t last_number = 0;
+  bool last_release_seen = false;  // the last completed job's release is in the window
   bool last_has_deadline = false;
   bool last_counted = false;  // the finalized job was already counted missed
   bool ewma_seeded = false;
@@ -826,6 +827,7 @@ struct PostmortemStep {
     th.have_last_complete = true;
     th.last_complete = completion;
     th.last_number = job.number;
+    th.last_release_seen = true;
     th.last_has_deadline = job.has_deadline;
     th.last_counted = missed;
     if (missed && !job.has_deadline) {
@@ -953,6 +955,7 @@ struct PostmortemStep {
           th->have_last_complete = true;
           th->last_complete = e.time;
           th->last_number = static_cast<uint64_t>(e.arg1);
+          th->last_release_seen = false;
           th->last_has_deadline = false;
           th->last_counted = false;
         }
@@ -968,11 +971,15 @@ struct PostmortemStep {
         } else if (th->have_last_complete && th->last_number == static_cast<uint64_t>(e.arg1)) {
           // The completion-path miss lands just after kJobComplete. Already
           // counted via the deadline check at finalize — unless the trace
-          // carried no deadline, where the event is the only miss signal.
-          if (!th->last_counted && !th->last_has_deadline) {
+          // carried no deadline, where the event is the only miss signal, or
+          // the job's release fell outside the window, which leaves it as
+          // unmatched as a miss recorded before completion.
+          if (!th->last_counted && !th->last_release_seen) {
+            ++out.unmatched_misses;
+          } else if (!th->last_counted && !th->last_has_deadline) {
             ++out.deadline_unknown;
-            th->last_counted = true;
           }
+          th->last_counted = true;
         } else {
           ++out.unmatched_misses;
         }

@@ -212,9 +212,9 @@ TEST(TortureTest, TinyRingWindowAttributesLateJobsAndCountsTruncatedMisses) {
   EXPECT_GT(result.postmortem_incomplete, 0u);
 
   // A miss of a job whose release was evicted has no ledger to build; it is
-  // counted as unmatched (miss recorded before completion) or as
-  // deadline-unknown (miss recorded at completion), never dropped. Count
-  // such misses straight from the retained window.
+  // counted as unmatched whether it was recorded before or at completion,
+  // never dropped and never mistaken for a legacy miss without a deadline.
+  // Count such misses straight from the retained window.
   uint64_t evicted_release_misses = 0;
   uint64_t deadline_unknown = 0;
   InspectTorture(options, [&](const Kernel& kernel) {
@@ -234,8 +234,8 @@ TEST(TortureTest, TinyRingWindowAttributesLateJobsAndCountsTruncatedMisses) {
             .deadline_unknown;
   });
   EXPECT_GT(evicted_release_misses, 0u);
-  EXPECT_GT(result.postmortem_unmatched, 0u);
-  EXPECT_EQ(result.postmortem_unmatched + deadline_unknown, evicted_release_misses);
+  EXPECT_EQ(result.postmortem_unmatched, evicted_release_misses);
+  EXPECT_EQ(deadline_unknown, 0u);
 }
 
 TEST(TortureTest, FaultInjectionCoversAllFaultKinds) {

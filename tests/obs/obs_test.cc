@@ -397,8 +397,8 @@ TEST(TraceCsvTest, RoundTripPreservesDroppedTrailer) {
 TEST(TraceCsvTest, LegacyFourColumnImportReExportsAsPerfetto) {
   // The pre-arg2 CSV dialect: 4-column header, releases without encoded
   // deadlines. It must import with arg2 = 0 and survive the exact pipeline
-  // trace_inspect --perfetto runs on it: analyzer, postmortem (which may
-  // only count the legacy miss, never attribute it), and the Chrome JSON
+  // fleet_inspect --trace --perfetto runs on it: analyzer, postmortem (which
+  // may only count the legacy miss, never attribute it), and the Chrome JSON
   // re-export.
   std::string csv =
       "# emeralds trace export\n"
@@ -480,7 +480,7 @@ TEST(TraceCsvTest, RejectsMalformedInput) {
 }
 
 TEST(TraceCsvTest, ImportedCorruptionIsFlaggedByAnalyzer) {
-  // The full offline path trace_inspect uses: a CSV whose switch pairing was
+  // The full offline path fleet_inspect --trace uses: a CSV whose switch pairing was
   // hand-corrupted must come back as a structured violation.
   std::string csv =
       "time_us,event,arg0,arg1\n"

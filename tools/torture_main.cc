@@ -6,15 +6,14 @@
 //   torture --seed=7 --check-determinism   run twice, compare trace digests
 //   torture --seed=7 --trace-csv=out.csv   export the run's trace
 //   torture --runs=8 --json=report.json    machine-readable report
-//   torture --artifacts-dir=out/           on failure, drop the black-box
-//                                          bundle (repro.txt, trace.csv,
+//   torture --artifacts-dir=out/           on failure, drop the first failing
+//                                          seed's black-box bundle (repro.txt
+//                                          with its shrunk line, trace.csv,
 //                                          blackbox.json — the fleet flight-
 //                                          recorder layout) and the report
 //                                          JSON there (CI uploads them)
-//   torture --runs=64 --jobs=8             parallel sweep on the work-stealing
-//                                          pool; each worker drops its first
-//                                          failure's bundle under
-//                                          <artifacts-dir>/worker-N/
+//   torture --runs=64 --jobs=8             sweep on 8 pool workers, in waves
+//                                          of 8 seeds (default --jobs=1)
 //   torture --timer-queue=list             run against the reference sorted
 //                                          timer list instead of the wheel
 //   torture --num-cores=2                  partitioned-SMP runs: generated
@@ -23,17 +22,19 @@
 //                                          single-core harness, bit-identical
 //                                          digests)
 //
-// On failure: prints the one-line repro command, shrinks the op budget by
-// bisection, and exits 1. Runs are deterministic per (seed, options), so a
-// --jobs sweep reports exactly what the serial sweep would.
+// On failure: prints the one-line repro command, shrinks the first failing
+// seed's op budget by bisection, and exits 1. Runs are deterministic per
+// (seed, options), so every --jobs value reports the same runs, shrink and
+// artifacts. A malformed flag prints a diagnostic plus usage and exits 2.
 
 #include <chrono>
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "src/base/flags.h"
 #include "src/base/thread_pool.h"
 #include "src/core/config.h"
 #include "src/fuzz/torture.h"
@@ -42,21 +43,16 @@ namespace emeralds {
 namespace fuzz {
 namespace {
 
-bool ParseFlag(const char* arg, const char* name, const char** value) {
-  size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) != 0) {
-    return false;
-  }
-  if (arg[len] == '\0') {
-    *value = nullptr;
-    return true;
-  }
-  if (arg[len] == '=') {
-    *value = arg + len + 1;
-    return true;
-  }
-  return false;
-}
+// Upper bound on --jobs, checked before any pool is built.
+constexpr int kMaxJobs = 256;
+
+constexpr FlagContext kFlags{
+    "torture",
+    "usage: torture [--seed=S] [--ops=N] [--op-limit=K] [--runs=R] [--jobs=J]\n"
+    "               [--budget-seconds=T] [--num-cores=C] [--timer-queue=wheel|list]\n"
+    "               [--no-faults] [--no-irq-storms] [--no-charge-resets] [--tiny-ring]\n"
+    "               [--check-determinism] [--trace-csv=OUT.csv] [--json=OUT.json]\n"
+    "               [--artifacts-dir=DIR]\n"};
 
 void PrintResult(const TortureOptions& options, const TortureResult& result) {
   std::printf("seed=%llu %s ops=%d vtime=%lldus trace=%llu(+%llu dropped) digest=%016llx\n",
@@ -80,56 +76,53 @@ int Run(int argc, char** argv) {
   const char* csv_path = nullptr;
   const char* artifacts_dir = nullptr;
   bool check_determinism = false;
-  bool seed_given = false;
 
   for (int i = 1; i < argc; ++i) {
+    const char* arg = argv[i];
     const char* v = nullptr;
-    if (ParseFlag(argv[i], "--seed", &v) && v != nullptr) {
-      base.seed = std::strtoull(v, nullptr, 10);
-      seed_given = true;
-    } else if (ParseFlag(argv[i], "--ops", &v) && v != nullptr) {
-      base.ops = std::atoi(v);
-    } else if (ParseFlag(argv[i], "--op-limit", &v) && v != nullptr) {
-      base.op_limit = std::atoi(v);
-    } else if (ParseFlag(argv[i], "--runs", &v) && v != nullptr) {
-      runs = std::atoi(v);
-    } else if (ParseFlag(argv[i], "--jobs", &v) && v != nullptr) {
-      jobs = std::atoi(v);
-    } else if (ParseFlag(argv[i], "--timer-queue", &v) && v != nullptr) {
-      if (std::strcmp(v, "wheel") == 0) {
-        base.timer_queue = TimerQueueImpl::kWheel;
-      } else if (std::strcmp(v, "list") == 0) {
-        base.timer_queue = TimerQueueImpl::kSortedList;
-      } else {
-        std::fprintf(stderr, "--timer-queue must be wheel or list, got %s\n", v);
-        return 2;
+    bool ok = true;
+    if (FlagValue(arg, "--seed", &v)) {
+      ok = kFlags.Int<uint64_t>("--seed", v, 0, INT64_MAX, &base.seed);
+    } else if (FlagValue(arg, "--ops", &v)) {
+      ok = kFlags.Int("--ops", v, 1, INT_MAX, &base.ops);
+    } else if (FlagValue(arg, "--op-limit", &v)) {
+      ok = kFlags.Int("--op-limit", v, 0, INT_MAX, &base.op_limit);
+    } else if (FlagValue(arg, "--runs", &v)) {
+      ok = kFlags.Int("--runs", v, 1, INT_MAX, &runs);
+    } else if (FlagValue(arg, "--jobs", &v)) {
+      ok = kFlags.Int("--jobs", v, 1, kMaxJobs, &jobs);
+    } else if (FlagValue(arg, "--budget-seconds", &v)) {
+      ok = kFlags.Double("--budget-seconds", v, 0.0, 1e7, &budget_seconds);
+    } else if (FlagValue(arg, "--num-cores", &v)) {
+      ok = kFlags.Int("--num-cores", v, 1, kMaxCores, &base.num_cores);
+    } else if (FlagValue(arg, "--timer-queue", &v)) {
+      bool wheel = std::strcmp(v, "wheel") == 0;
+      ok = wheel || std::strcmp(v, "list") == 0;
+      base.timer_queue = wheel ? TimerQueueImpl::kWheel : TimerQueueImpl::kSortedList;
+      if (!ok) {
+        kFlags.Fail("bad value '%s' for --timer-queue", v);
       }
-    } else if (ParseFlag(argv[i], "--budget-seconds", &v) && v != nullptr) {
-      budget_seconds = std::atof(v);
-    } else if (ParseFlag(argv[i], "--json", &v) && v != nullptr) {
+    } else if (FlagValue(arg, "--json", &v)) {
       json_path = v;
-    } else if (ParseFlag(argv[i], "--trace-csv", &v) && v != nullptr) {
+    } else if (FlagValue(arg, "--trace-csv", &v)) {
       csv_path = v;
-    } else if (ParseFlag(argv[i], "--artifacts-dir", &v) && v != nullptr) {
+    } else if (FlagValue(arg, "--artifacts-dir", &v)) {
       artifacts_dir = v;
-    } else if (ParseFlag(argv[i], "--no-faults", &v)) {
+    } else if (std::strcmp(arg, "--no-faults") == 0) {
       base.inject_faults = false;
-    } else if (ParseFlag(argv[i], "--no-irq-storms", &v)) {
+    } else if (std::strcmp(arg, "--no-irq-storms") == 0) {
       base.irq_storms = false;
-    } else if (ParseFlag(argv[i], "--no-charge-resets", &v)) {
+    } else if (std::strcmp(arg, "--no-charge-resets") == 0) {
       base.charge_resets = false;
-    } else if (ParseFlag(argv[i], "--num-cores", &v) && v != nullptr) {
-      base.num_cores = std::atoi(v);
-      if (base.num_cores < 1 || base.num_cores > kMaxCores) {
-        std::fprintf(stderr, "--num-cores must be in [1, %d], got %s\n", kMaxCores, v);
-        return 2;
-      }
-    } else if (ParseFlag(argv[i], "--tiny-ring", &v)) {
+    } else if (std::strcmp(arg, "--tiny-ring") == 0) {
       base.tiny_trace_ring = true;
-    } else if (ParseFlag(argv[i], "--check-determinism", &v)) {
+    } else if (std::strcmp(arg, "--check-determinism") == 0) {
       check_determinism = true;
     } else {
-      std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
+      kFlags.Fail("unknown argument '%s'", arg);
+      ok = false;
+    }
+    if (!ok) {
       return 2;
     }
   }
@@ -158,114 +151,64 @@ int Run(int argc, char** argv) {
     std::printf("trace csv written to %s\n", csv_path);
   }
 
+  // The sweep is seeds base.seed .. base.seed + runs - 1 (one seed unless
+  // --runs or --budget-seconds says otherwise).
   std::vector<TortureOptions> all_options;
   std::vector<TortureResult> all_results;
   int failed = 0;
   auto start = std::chrono::steady_clock::now();
-  // With an explicit --seed and no --runs the sweep is that single seed;
-  // otherwise seeds count up from the base seed (default 1).
-  int planned = (seed_given && runs == 1) ? 1 : runs;
-
-  if (jobs > 1) {
-    // Parallel sweep: seeds fan out over the work-stealing pool in waves (a
-    // wave is all planned runs, or `jobs` seeds at a time under a wall-clock
-    // budget). Each run writes its own result slot, so the collected report
-    // is identical to the serial sweep's; per-worker state (the
-    // first-failure artifact flag) is only ever touched by its own worker.
-    ThreadPool pool(jobs);
-    std::vector<uint8_t> worker_wrote_artifacts(static_cast<size_t>(pool.worker_count()), 0);
-    int next = 0;
-    for (;;) {
-      int wave;
-      if (budget_seconds > 0) {
-        double elapsed =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-        if (next > 0 && elapsed >= budget_seconds) {
-          break;
-        }
-        wave = jobs;
-      } else {
-        wave = planned - next;
-        if (wave <= 0) {
-          break;
-        }
-      }
-      size_t first = all_results.size();
-      for (int i = 0; i < wave; ++i) {
-        TortureOptions options = base;
-        options.seed = base.seed + static_cast<uint64_t>(next + i);
-        all_options.push_back(options);
-        all_results.emplace_back();
-      }
-      for (int i = 0; i < wave; ++i) {
-        size_t slot = first + static_cast<size_t>(i);
-        pool.Submit([&, slot] {
-          all_results[slot] = RunTorture(all_options[slot]);
-          const TortureResult& result = all_results[slot];
-          if (!result.ok && artifacts_dir != nullptr) {
-            int w = ThreadPool::CurrentWorker();
-            if (w >= 0 && worker_wrote_artifacts[static_cast<size_t>(w)] == 0) {
-              worker_wrote_artifacts[static_cast<size_t>(w)] = 1;
-              // Each worker's first failure gets the standard black-box
-              // bundle (repro.txt, trace.csv, blackbox.json) — the same
-              // layout the fleet flight recorder writes.
-              std::string dir =
-                  std::string(artifacts_dir) + "/worker-" + std::to_string(w);
-              ExportTortureBlackBox(all_options[slot], result, dir);
-            }
-          }
-        });
-      }
-      pool.Wait();
-      next += wave;
-    }
-    for (size_t i = 0; i < all_results.size(); ++i) {
-      PrintResult(all_options[i], all_results[i]);
-      if (!all_results[i].ok) {
-        ++failed;
-        if (failed == 1) {
-          // Shrink only the first failure (it re-runs the seed many times);
-          // the parallel sweep's other failures are usually the same bug.
-          TortureOptions shrunk = ShrinkFailingRun(all_options[i]);
-          std::printf("  shrunk:  %s\n", ReproCommand(shrunk).c_str());
-        }
-      }
-    }
-  } else {
-    for (int i = 0;; ++i) {
-      if (budget_seconds > 0) {
-        double elapsed =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-        if (i > 0 && elapsed >= budget_seconds) {
-          break;
-        }
-      } else if (i >= planned) {
+  // Seeds run on the pool in waves of `jobs`, in seed order. Each run writes
+  // its own result slot, and a wave is printed only once it is complete, so
+  // the output, the shrink and the artifacts are the same for every --jobs;
+  // with --jobs=1 each wave is one seed and the output streams per seed.
+  ThreadPool pool(jobs);
+  for (;;) {
+    int next = static_cast<int>(all_results.size());
+    int wave = jobs;
+    if (budget_seconds > 0) {
+      double elapsed =
+          std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+      if (next > 0 && elapsed >= budget_seconds) {
         break;
       }
+    } else if (next >= runs) {
+      break;
+    } else if (runs - next < wave) {
+      wave = runs - next;
+    }
+    for (int i = 0; i < wave; ++i) {
       TortureOptions options = base;
-      options.seed = base.seed + static_cast<uint64_t>(i);
-      TortureResult result = RunTorture(options);
-      PrintResult(options, result);
-      if (!result.ok) {
-        ++failed;
-        TortureOptions shrunk = ShrinkFailingRun(options);
-        std::printf("  shrunk:  %s\n", ReproCommand(shrunk).c_str());
-        // First failure wins the artifact slots: later failures of the same
-        // sweep are almost always the same bug, and CI wants one clear repro.
-        if (artifacts_dir != nullptr && failed == 1) {
-          // Standard black-box bundle (repro.txt with the shrunk line
-          // appended, trace.csv, blackbox.json) at the artifacts root.
-          if (ExportTortureBlackBox(options, result, artifacts_dir,
-                                    "shrunk: " + ReproCommand(shrunk))) {
-            std::printf("  artifacts: %s/{repro.txt,trace.csv,blackbox.json}\n",
-                        artifacts_dir);
-          } else {
-            std::fprintf(stderr, "cannot write bundle under %s\n", artifacts_dir);
-          }
-        }
-      }
+      options.seed = base.seed + static_cast<uint64_t>(next + i);
       all_options.push_back(options);
-      all_results.push_back(result);
+    }
+    all_results.resize(all_options.size());
+    for (size_t slot = static_cast<size_t>(next); slot < all_results.size(); ++slot) {
+      pool.Submit([&, slot] { all_results[slot] = RunTorture(all_options[slot]); });
+    }
+    pool.Wait();
+    for (size_t slot = static_cast<size_t>(next); slot < all_results.size(); ++slot) {
+      const TortureOptions& options = all_options[slot];
+      const TortureResult& result = all_results[slot];
+      PrintResult(options, result);
+      if (result.ok || ++failed > 1) {
+        continue;
+      }
+      // Only the first failing seed is shrunk (it re-runs the seed many
+      // times) and bundled: later failures of one sweep are almost always the
+      // same bug, and CI wants one clear repro.
+      TortureOptions shrunk = ShrinkFailingRun(options);
+      std::printf("  shrunk:  %s\n", ReproCommand(shrunk).c_str());
+      if (artifacts_dir == nullptr) {
+        continue;
+      }
+      // The standard black-box bundle (repro.txt with the shrunk line
+      // appended, trace.csv, blackbox.json) at the artifacts root.
+      if (ExportTortureBlackBox(options, result, artifacts_dir,
+                                "shrunk: " + ReproCommand(shrunk))) {
+        std::printf("  artifacts: %s/{repro.txt,trace.csv,blackbox.json}\n", artifacts_dir);
+      } else {
+        std::fprintf(stderr, "cannot write bundle under %s\n", artifacts_dir);
+      }
     }
   }
 
