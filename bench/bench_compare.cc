@@ -266,13 +266,6 @@ void CompareFleet(const JsonValue& baseline, const JsonValue& candidate,
       }
     }
   }
-  // Telemetry collection overhead rides on wall clock: informational only.
-  const JsonValue* overhead = candidate.Find("telemetry_overhead");
-  if (overhead != nullptr) {
-    Notef(r, "telemetry overhead ratio %.3f (on %.0f vs off %.0f events/s wall, not gated)",
-          overhead->NumberOr("ratio", 0.0), overhead->NumberOr("on_events_per_wall_sec", 0.0),
-          overhead->NumberOr("off_events_per_wall_sec", 0.0));
-  }
   // Streaming-collection overhead IS gated, as a ratio: both sides of the
   // division ran on the same host in the same process, so the ratio is
   // machine-independent in a way the raw wall rates are not. Even the median

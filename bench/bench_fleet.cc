@@ -1,15 +1,14 @@
 // The fleet benchmark behind BENCH_fleet.json.
 //
 // Runs the standard fleet configuration (64 nodes, 100 ms of virtual time
-// each, hierarchical timer wheel) across the host thread pool in three
-// configurations: everything off, telemetry-only, and telemetry + the
-// streaming timeseries / alert plane. All digests must be bit-identical
-// (observation that perturbs the run would poison every baseline after
-// it); the configurations run in interleaved rounds, and the median of the
-// per-round rate ratios prices telemetry overhead (informational) and
-// streaming overhead (the ratio is gated by bench_compare as a
-// gross-regression tripwire — a ratio is host-speed-independent, but short
-// parallel runs still jitter).
+// each, hierarchical timer wheel) across the host thread pool twice: with
+// the streaming timeseries / alert plane off and on (node telemetry is
+// always collected; perfbench prices it per node). Both digests must be
+// bit-identical (observation that perturbs the run would poison every
+// baseline after it); the two run in interleaved rounds, and the median of
+// the per-round rate ratios prices streaming overhead (the ratio is gated by
+// bench_compare as a gross-regression tripwire — a ratio is
+// host-speed-independent, but short parallel runs still jitter).
 // Then the run digest's cost per record over node 0's whole-run trace
 // window (informational), the timer-queue microbenchmark at 1k / 10k /
 // 100k pending timers, and one emeralds.fleet.run/1 report. With
@@ -57,16 +56,15 @@ int Run() {
               static_cast<long long>(opt.run_duration.millis()),
               fleet::TimerQueueImplName(opt.timer_queue));
 
-  // Three configurations, most instrumented last: (A) everything off prices
-  // raw simulation, (B) telemetry-only prices snapshot collection, (C)
-  // telemetry plus the streaming timeseries/alert plane is the run the
-  // report describes. The A==B==C digest equality is a hard gate, not a
-  // report note — observation that perturbs the run would poison every
-  // baseline after it. The configurations run in kRounds interleaved rounds
-  // whose order alternates (A B C, C B A, ...). Each side reports its best
-  // wall rate, and each overhead ratio is the median over rounds of that
-  // round's on/off rate ratio: a ~30 ms parallel run's wall clock swings by
-  // tens of percent with the host's load, two sides priced back to back in
+  // Two configurations: (A) streaming off prices the simulation plus node
+  // telemetry, (B) the streaming timeseries/alert plane on is the run the
+  // report describes. The A==B digest equality is a hard gate, not a report
+  // note — observation that perturbs the run would poison every baseline
+  // after it. The configurations run in kRounds interleaved rounds whose
+  // order alternates (A B, B A, ...). Each side reports its best wall rate,
+  // and the overhead ratio is the median over rounds of that round's on/off
+  // rate ratio: a ~30 ms parallel run's wall clock swings by tens of
+  // percent with the host's load, two sides priced back to back in
   // one round share the same host state, alternating the order cancels a
   // load that rises or falls across the run, and the median drops the
   // rounds where the host changed mid-pair. Repeat runs must also agree on
@@ -79,22 +77,17 @@ int Run() {
     fleet::FleetResult last;
     double best_rate() const { return *std::max_element(rates.begin(), rates.end()); }
   };
-  Config control(opt);
-  control.options.telemetry = false;
-  control.options.timeseries = false;
-  control.options.alerts = false;
-  Config midpoint(opt);
-  midpoint.options.timeseries = false;
-  midpoint.options.alerts = false;
+  Config off(opt);
+  off.options.timeseries = false;
   Config streaming(opt);
   if (const char* artifacts = std::getenv("EMERALDS_FLEET_ARTIFACTS")) {
     streaming.options.artifacts_dir = artifacts;
   }
   bool digests_stable = true;
   for (int round = 0; round < kRounds; ++round) {
-    Config* order[] = {&control, &midpoint, &streaming};
+    Config* order[] = {&off, &streaming};
     if (round % 2 == 1) {
-      std::swap(order[0], order[2]);
+      std::swap(order[0], order[1]);
     }
     for (Config* config : order) {
       fleet::FleetResult r = fleet::RunFleet(config->options);
@@ -105,38 +98,29 @@ int Run() {
       config->last = std::move(r);
     }
   }
-  auto paired_ratio = [](const Config& on, const Config& off) {
-    std::vector<double> ratios;
-    for (int round = 0; round < kRounds; ++round) {
-      ratios.push_back(on.rates[round] / off.rates[round]);
-    }
-    std::sort(ratios.begin(), ratios.end());
-    return (ratios[(kRounds - 1) / 2] + ratios[kRounds / 2]) / 2.0;
-  };
-  const double telemetry_ratio = paired_ratio(midpoint, control);
-  const double streaming_ratio = paired_ratio(streaming, midpoint);
+  std::vector<double> ratios;
+  for (int round = 0; round < kRounds; ++round) {
+    ratios.push_back(streaming.rates[round] / off.rates[round]);
+  }
+  std::sort(ratios.begin(), ratios.end());
+  const double streaming_ratio = (ratios[(kRounds - 1) / 2] + ratios[kRounds / 2]) / 2.0;
   const fleet::FleetResult& result = streaming.last;
   std::printf("fleet: %llu events in %.3f s wall (%.0f events/s wall, %.0f events/s virtual), "
               "%d/%d nodes failed\n",
               static_cast<unsigned long long>(result.events_total), result.wall_seconds,
               result.events_per_wall_sec, result.events_per_virtual_sec, result.nodes_failed,
               result.instances);
-  std::printf("telemetry overhead: on %.0f events/s wall vs off %.0f (best of %d), "
-              "median paired ratio %.3f\n",
-              midpoint.best_rate(), control.best_rate(), kRounds, telemetry_ratio);
   std::printf("streaming overhead: on %.0f events/s wall vs off %.0f (best of %d), "
               "median paired ratio %.3f\n",
-              streaming.best_rate(), midpoint.best_rate(), kRounds, streaming_ratio);
+              streaming.best_rate(), off.best_rate(), kRounds, streaming_ratio);
   std::printf("alerts: %llu events, %llu fired\n",
               static_cast<unsigned long long>(result.alerts.size()),
               static_cast<unsigned long long>(result.alerts_fired));
-  if (control.last.fleet_digest != result.fleet_digest ||
-      midpoint.last.fleet_digest != result.fleet_digest || !digests_stable) {
+  if (off.last.fleet_digest != result.fleet_digest || !digests_stable) {
     std::fprintf(stderr,
                  "FAIL: observation changed the fleet digest "
-                 "(off 0x%016llx, telemetry 0x%016llx, streaming 0x%016llx, repeats %s)\n",
-                 static_cast<unsigned long long>(control.last.fleet_digest),
-                 static_cast<unsigned long long>(midpoint.last.fleet_digest),
+                 "(off 0x%016llx, streaming 0x%016llx, repeats %s)\n",
+                 static_cast<unsigned long long>(off.last.fleet_digest),
                  static_cast<unsigned long long>(result.fleet_digest),
                  digests_stable ? "stable" : "UNSTABLE");
     return 1;
@@ -173,7 +157,7 @@ int Run() {
   size_t digest_records = 0;
   std::vector<double> digest_ns;
   uint64_t window_digest = 0;  // printed, so the timed calls stay live
-  fleet::InspectNode(control.options, 0, [&](const Kernel& kernel, const fleet::NodeResult&) {
+  fleet::InspectNode(off.options, 0, [&](const Kernel& kernel, const fleet::NodeResult&) {
     std::vector<TraceEvent> scratch;
     std::span<const TraceEvent> window = kernel.trace().Window(&scratch);
     digest_records = window.size();
@@ -198,11 +182,8 @@ int Run() {
   info.run_duration = opt.run_duration;
   info.slice = opt.slice;
   info.trace_capacity = opt.trace_capacity;
-  info.telemetry_on_events_per_wall_sec = midpoint.best_rate();
-  info.telemetry_off_events_per_wall_sec = control.best_rate();
-  info.telemetry_ratio = telemetry_ratio;
   info.streaming_on_events_per_wall_sec = streaming.best_rate();
-  info.streaming_off_events_per_wall_sec = midpoint.best_rate();
+  info.streaming_off_events_per_wall_sec = off.best_rate();
   info.streaming_ratio = streaming_ratio;
   info.trace_digest_records = digest_records;
   info.trace_digest_ns_per_record = digest_ns_per_record;

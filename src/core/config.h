@@ -140,13 +140,6 @@ struct KernelConfig {
   // Trace ring capacity (0 disables event retention; counters still work).
   size_t trace_capacity = 4096;
 
-  // Record a kOverheadSpan trace event at the end of every non-user,
-  // non-idle clock advance. Costs ring space (roughly 3-4x event volume) but
-  // lets the deadline-miss postmortem engine attribute kernel overhead
-  // (IRQ / timer service / scheduler / syscall) exactly; without spans the
-  // lateness ledger still telescopes but lumps overhead into own-execution.
-  bool trace_overhead_spans = true;
-
   // Pending-timer container for the software-timer service. Both order
   // timers identically, so runs are bit-identical under either; the sorted
   // list is the reference implementation for differential testing.

@@ -40,12 +40,15 @@ struct NodeState {
   uint8_t payload[8] = {};
 };
 
+// Per-node arena capacity. Top-level node state only; kernel-internal
+// containers (ready queues, trace ring, TCBs) still come from the heap — the
+// arena isolates and batch-frees the objects the fleet itself places.
+constexpr size_t kNodeArenaBytes = sizeof(Hardware) + sizeof(Kernel) + sizeof(NodeState) + 512;
+
 // One simulated node: its arena owns the Hardware, the Kernel, and the
 // workload handles; the control block itself is tiny and heap-held.
 struct Node {
-  explicit Node(size_t arena_bytes) : arena(arena_bytes) {}
-
-  Arena arena;
+  Arena arena{kNodeArenaBytes};
   Hardware* hw = nullptr;
   Kernel* kernel = nullptr;
   NodeState* st = nullptr;
@@ -211,38 +214,32 @@ void BuildNode(Node& node, const FleetOptions& opt, int index) {
   node.end = Instant() + opt.run_duration;
 }
 
-// Applies the shared node oracles plus the progress oracle, scores the
-// anomaly triage, and (when enabled) collects the node's telemetry block.
-// Pure read of kernel state: the virtual clock has already reached its
-// horizon, so nothing here can perturb the simulated outcome or its digest.
+// Applies the shared node oracles plus the progress oracle, collects the
+// node's telemetry block, and scores the anomaly triage from it. Pure read
+// of kernel state: the virtual clock has already reached its horizon, so
+// nothing here can perturb the simulated outcome or its digest.
 void EvaluateNode(Node& node, const FleetOptions& opt) {
   Kernel& kernel = *node.kernel;
   NodeResult& r = node.result;
   const KernelStats& s = kernel.stats();
 
   r.events = s.context_switches + s.syscalls + s.interrupts + s.timer_dispatches;
-  r.jobs_completed = s.jobs_completed;
-  r.deadline_misses = s.deadline_misses;
   r.timer_dispatches = s.timer_dispatches;
-  r.headroom_low_events = s.headroom_low_events;
   r.virtual_time = kernel.now() - Instant();
-  r.trace_dropped = kernel.trace().dropped();
   // One read of the retained window feeds the digest and the oracles; it is
   // the ring's own storage unless the ring wrapped.
   std::vector<TraceEvent> scratch;
   std::span<const TraceEvent> window = kernel.trace().Window(&scratch);
   r.trace_digest = DigestNode(kernel, window);
 
-  obs::NodeOracles oracles = obs::RunNodeOracles(kernel, window, r.trace_dropped);
-  for (const obs::ChainReport& c : oracles.chains.chains) {
-    r.chain_completed += c.completed;
-    r.chain_overruns += c.overruns;
-  }
+  obs::NodeOracles oracles = obs::RunNodeOracles(kernel, window, kernel.trace().dropped());
+  r.telemetry = obs::CollectNodeTelemetry(kernel, oracles.trace, oracles.chains);
+  const obs::NodeTelemetry& t = r.telemetry;
   r.blame = oracles.postmortem.blame;
   r.postmortem_incomplete = oracles.postmortem.incomplete_misses;
   r.failure = oracles.failure;
   if (r.failure.empty() &&
-      (r.jobs_completed == 0 || r.timer_dispatches == 0 || s.mailbox_sends == 0)) {
+      (t.jobs_completed == 0 || r.timer_dispatches == 0 || s.mailbox_sends == 0)) {
     r.failure = "progress oracle: node wedged (no jobs, timers, or messages)";
   }
 
@@ -250,21 +247,17 @@ void EvaluateNode(Node& node, const FleetOptions& opt) {
   // dominate everything; below them deadline misses outrank chain SLO
   // overruns outrank headroom warnings, with enough spread that counts of a
   // lesser class cannot outvote one of a greater class in realistic runs.
-  r.anomaly_score = r.deadline_misses * 1000000 + r.chain_overruns * 10000 +
-                    r.headroom_low_events * 100;
+  r.anomaly_score = t.deadline_misses * 1000000 + t.chain_overruns * 10000 +
+                    t.headroom_low_events * 100;
   if (!r.failure.empty()) {
     r.anomaly_score += 1000000000000ULL;
     r.anomaly = r.failure;
-  } else if (r.deadline_misses > 0) {
+  } else if (t.deadline_misses > 0) {
     r.anomaly = "deadline misses";
-  } else if (r.chain_overruns > 0) {
+  } else if (t.chain_overruns > 0) {
     r.anomaly = "chain SLO overruns";
-  } else if (r.headroom_low_events > 0) {
+  } else if (t.headroom_low_events > 0) {
     r.anomaly = "low deadline headroom";
-  }
-
-  if (opt.telemetry) {
-    r.telemetry = obs::CollectNodeTelemetry(kernel, oracles.trace, oracles.chains);
   }
 
   // Streaming plane: close the window series at the horizon (synthesizing
@@ -275,11 +268,9 @@ void EvaluateNode(Node& node, const FleetOptions& opt) {
     r.windows = node.ts->Snapshot();
     r.timeseries_lost_samples = node.ts->lost_samples();
     r.timeseries_windows_dropped = node.ts->windows_dropped();
-    if (opt.alerts) {
-      obs::AlertEngine engine(opt.alert_config);
-      for (const obs::TelemetryWindow& w : r.windows) {
-        engine.Observe(w, node.index, &r.alerts);
-      }
+    obs::AlertEngine engine(opt.alert_config);
+    for (const obs::TelemetryWindow& w : r.windows) {
+      engine.Observe(w, node.index, &r.alerts);
     }
   }
 }
@@ -313,13 +304,6 @@ void FinishNode(Node& node, const FleetOptions& opt) {
   node.st = nullptr;
 }
 
-size_t DefaultArenaBytes() {
-  // Top-level node state only; kernel-internal containers (ready queues,
-  // trace ring, TCBs) still come from the heap — the arena isolates and
-  // batch-frees the objects the fleet itself places.
-  return sizeof(Hardware) + sizeof(Kernel) + sizeof(NodeState) + 512;
-}
-
 }  // namespace
 
 size_t NodeTraceCapacity(const FleetOptions& options) {
@@ -337,20 +321,15 @@ const char* TimerQueueImplName(TimerQueueImpl impl) {
   return impl == TimerQueueImpl::kWheel ? "wheel" : "sorted_list";
 }
 
-FleetResult RunFleet(const FleetOptions& options) {
+FleetResult RunFleet(const FleetOptions& opt) {
   EM_ASSERT_MSG(ThreadPool::CurrentWorker() == -1,
                 "RunFleet must not be called from a pool worker");
-  EM_ASSERT(options.instances > 0);
-
-  FleetOptions opt = options;
-  if (opt.arena_bytes == 0) {
-    opt.arena_bytes = DefaultArenaBytes();
-  }
+  EM_ASSERT(opt.instances > 0);
 
   std::vector<std::unique_ptr<Node>> nodes;
   nodes.reserve(static_cast<size_t>(opt.instances));
   for (int i = 0; i < opt.instances; ++i) {
-    nodes.push_back(std::make_unique<Node>(opt.arena_bytes));
+    nodes.push_back(std::make_unique<Node>());
   }
 
   auto wall_start = std::chrono::steady_clock::now();
@@ -386,24 +365,12 @@ FleetResult RunFleet(const FleetOptions& options) {
   for (size_t i = 0; i < nodes.size(); ++i) {
     NodeResult& r = nodes[i]->result;
     out.events_total += r.events;
-    out.jobs_completed += r.jobs_completed;
-    out.deadline_misses += r.deadline_misses;
     out.timer_dispatches += r.timer_dispatches;
-    out.chain_completed += r.chain_completed;
-    out.chain_overruns += r.chain_overruns;
     out.virtual_time_total = out.virtual_time_total + r.virtual_time;
     out.nodes_failed += r.ok() ? 0 : 1;
     out.nodes_anomalous += r.anomalous() ? 1 : 0;
-    out.headroom_low_total += r.headroom_low_events;
-    out.trace_dropped_total += r.trace_dropped;
-    if (r.trace_dropped > out.trace_dropped_worst) {
-      out.trace_dropped_worst = r.trace_dropped;
-      out.trace_dropped_worst_node = static_cast<int>(i);
-    }
     out.arena_high_water = std::max(out.arena_high_water, r.arena_high_water);
-    if (opt.telemetry) {
-      obs::MergeNodeTelemetry(&out.telemetry, r.telemetry, static_cast<int>(i));
-    }
+    obs::MergeNodeTelemetry(&out.telemetry, r.telemetry, static_cast<int>(i));
     out.blame.Merge(r.blame);
     out.postmortem_incomplete_total += r.postmortem_incomplete;
     digest = Fnv1a(digest, &r.trace_digest, sizeof(r.trace_digest));
@@ -433,24 +400,22 @@ FleetResult RunFleet(const FleetOptions& options) {
       out.timeseries_windows_dropped += r.timeseries_windows_dropped;
     }
     out.windows = obs::MergeWindowSeries(series);
-    if (opt.alerts) {
-      for (const NodeResult& r : out.nodes) {
-        out.alerts.insert(out.alerts.end(), r.alerts.begin(), r.alerts.end());
+    for (const NodeResult& r : out.nodes) {
+      out.alerts.insert(out.alerts.end(), r.alerts.begin(), r.alerts.end());
+    }
+    obs::EvaluateFleetOutlierAlerts(series, opt.alert_config, &out.alerts);
+    obs::SortAlertEvents(&out.alerts);
+    for (const obs::AlertEvent& e : out.alerts) {
+      if (!e.firing) {
+        continue;
       }
-      obs::EvaluateFleetOutlierAlerts(series, opt.alert_config, &out.alerts);
-      obs::SortAlertEvents(&out.alerts);
-      for (const obs::AlertEvent& e : out.alerts) {
-        if (!e.firing) {
-          continue;
-        }
-        ++out.alerts_fired;
-        if (e.node >= 0 && e.node < static_cast<int>(out.nodes.size())) {
-          NodeResult& nr = out.nodes[static_cast<size_t>(e.node)];
-          nr.anomaly_score += 500000;
-          if (nr.anomaly.empty()) {
-            nr.anomaly = std::string("alert firing: ") + obs::AlertRuleName(e.rule);
-            ++out.nodes_anomalous;
-          }
+      ++out.alerts_fired;
+      if (e.node >= 0 && e.node < static_cast<int>(out.nodes.size())) {
+        NodeResult& nr = out.nodes[static_cast<size_t>(e.node)];
+        nr.anomaly_score += 500000;
+        if (nr.anomaly.empty()) {
+          nr.anomaly = std::string("alert firing: ") + obs::AlertRuleName(e.rule);
+          ++out.nodes_anomalous;
         }
       }
     }
@@ -502,14 +467,10 @@ FleetResult RunFleet(const FleetOptions& options) {
 NodeResult InspectNode(const FleetOptions& options, int index,
                        const std::function<void(const Kernel&, const NodeResult&)>& visit) {
   EM_ASSERT(index >= 0 && index < options.instances);
-  FleetOptions opt = options;
-  if (opt.arena_bytes == 0) {
-    opt.arena_bytes = DefaultArenaBytes();
-  }
-  Node node(opt.arena_bytes);
-  BuildNode(node, opt, index);
-  RunNodeSlices(node, opt);
-  EvaluateNode(node, opt);
+  Node node;
+  BuildNode(node, options, index);
+  RunNodeSlices(node, options);
+  EvaluateNode(node, options);
   if (visit) {
     visit(*node.kernel, node.result);
   }

@@ -20,6 +20,12 @@
 // (src/obs/trace_replay.h), then the fleet's own progress oracle — the node
 // completed jobs, dispatched timers, and consumed mailbox traffic, so a
 // silently wedged node is a failure, not a fast run.
+//
+// Counters: every node collects one obs::NodeTelemetry block after its
+// horizon (a pure read, so it cannot move a digest), and RunFleet merges the
+// blocks into FleetResult::telemetry. Those two blocks are the only copies
+// of the job, miss, chain, headroom and trace-drop counters; the report,
+// triage, the OpenMetrics exposition and fleet_inspect all read them.
 
 #ifndef SRC_FLEET_FLEET_H_
 #define SRC_FLEET_FLEET_H_
@@ -52,8 +58,6 @@ struct FleetOptions {
   Duration slice = Milliseconds(5);
   // Timer fast-path under test; the whole point of the fleet bench.
   TimerQueueImpl timer_queue = TimerQueueImpl::kWheel;
-  // Per-node arena capacity; 0 sizes it from the node footprint.
-  size_t arena_bytes = 0;
   // Per-node trace ring; 0 sizes it to retain the whole run (see
   // NodeTraceCapacity). Slots are committed as they are written, so unused
   // capacity costs address space, not resident memory. Large fleets pass a
@@ -61,11 +65,6 @@ struct FleetOptions {
   // oracles are truncation-aware, so a wrapped ring degrades checking,
   // never correctness.
   size_t trace_capacity = 0;
-  // Fleet telemetry plane: per-node NodeTelemetry blocks merged into
-  // FleetResult::telemetry. Host-side only — collection happens after each
-  // node reaches its virtual horizon, so digests are bit-identical with
-  // telemetry on or off (tested).
-  bool telemetry = true;
   // Black-box flight recorder: when non-empty, the worst `max_blackboxes`
   // anomalous nodes (by anomaly_score, worst first) are re-run serially
   // after the fleet drains — a node is a pure function of (seed, index), so
@@ -85,7 +84,6 @@ struct FleetOptions {
   // (tested), and the alert event stream itself is worker-count-invariant.
   bool timeseries = true;
   obs::TimeseriesOptions timeseries_options;
-  bool alerts = true;
   obs::AlertConfig alert_config;
 };
 
@@ -97,14 +95,8 @@ struct NodeResult {
   // context_switches + syscalls + interrupts + timer_dispatches: the unit
   // the fleet benchmark rates in events/sec.
   uint64_t events = 0;
-  uint64_t jobs_completed = 0;
-  uint64_t deadline_misses = 0;
   uint64_t timer_dispatches = 0;
-  uint64_t chain_completed = 0;
-  uint64_t chain_overruns = 0;  // completed chain instances past their SLO
-  uint64_t trace_digest = 0;    // DigestTrace over the retained window + counters
-  uint64_t trace_dropped = 0;
-  uint64_t headroom_low_events = 0;
+  uint64_t trace_digest = 0;  // DigestTrace over the retained window + counters
   Duration virtual_time;
   size_t arena_high_water = 0;
   // First failing oracle in human-readable form; empty when all pass.
@@ -118,11 +110,12 @@ struct NodeResult {
   // misses, chain SLO overruns, and headroom-low events.
   std::string anomaly;
   uint64_t anomaly_score = 0;
-  // Telemetry block (collected iff FleetOptions::telemetry).
+  // The node's counters (jobs, misses, chain overruns, headroom, trace
+  // drops) and latency histograms: the only per-node copy of each.
   obs::NodeTelemetry telemetry;
   // Streaming telemetry (collected iff FleetOptions::timeseries): the
   // retained window series plus explicit-degradation counters, and the
-  // node-local alert events (iff FleetOptions::alerts).
+  // node-local alert events.
   std::vector<obs::TelemetryWindow> windows;
   uint64_t timeseries_lost_samples = 0;
   uint64_t timeseries_windows_dropped = 0;
@@ -140,11 +133,7 @@ struct FleetResult {
 
   // Aggregates over all nodes (deterministic).
   uint64_t events_total = 0;
-  uint64_t jobs_completed = 0;
-  uint64_t deadline_misses = 0;
   uint64_t timer_dispatches = 0;
-  uint64_t chain_completed = 0;
-  uint64_t chain_overruns = 0;
   int nodes_failed = 0;
   Duration virtual_time_total;  // sum of per-node simulated time
   // events_total / virtual seconds: the gated, machine-independent rate.
@@ -154,14 +143,10 @@ struct FleetResult {
   uint64_t fleet_digest = 0;
   size_t arena_high_water = 0;  // max across nodes
 
-  // Fleet telemetry plane (merged per-node blocks; nodes_collected == 0
-  // when FleetOptions::telemetry was off).
+  // Fleet telemetry plane: every node's block merged in index order. The
+  // only fleet-wide copy of the job, miss, chain, headroom and trace-drop
+  // totals (and of the worst trace-drop node).
   obs::FleetTelemetry telemetry;
-  // Silent ring truncation, surfaced: totals plus the worst offender.
-  uint64_t trace_dropped_total = 0;
-  int trace_dropped_worst_node = -1;
-  uint64_t trace_dropped_worst = 0;
-  uint64_t headroom_low_total = 0;
   int nodes_anomalous = 0;
   // Fleet-merged blame tables (associative integer merge in node-index
   // order) and their digest — bit-identical across worker counts, gated by

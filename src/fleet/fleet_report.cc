@@ -33,26 +33,29 @@ std::string BuildFleetRunReport(const FleetRunInfo& info, const FleetResult& res
   json.Int("trace_capacity", static_cast<int64_t>(info.trace_capacity));
 
   // Deterministic aggregates: identical across machines and worker counts.
+  // The counters are rendered from the merged telemetry block, their only
+  // fleet-wide copy.
+  const obs::FleetTelemetry& t = result.telemetry;
   json.Int("events_total", static_cast<int64_t>(result.events_total));
   json.Number("virtual_ms_total", result.virtual_time_total.millis_f());
   json.Number("events_per_virtual_sec", result.events_per_virtual_sec);
-  json.Int("jobs_completed", static_cast<int64_t>(result.jobs_completed));
-  json.Int("deadline_misses", static_cast<int64_t>(result.deadline_misses));
+  json.Int("jobs_completed", static_cast<int64_t>(t.jobs_completed));
+  json.Int("deadline_misses", static_cast<int64_t>(t.deadline_misses));
   json.Int("timer_dispatches", static_cast<int64_t>(result.timer_dispatches));
-  json.Int("chain_completed", static_cast<int64_t>(result.chain_completed));
-  json.Int("chain_overruns", static_cast<int64_t>(result.chain_overruns));
+  json.Int("chain_completed", static_cast<int64_t>(obs::ChainCompletedTotal(t.chains)));
+  json.Int("chain_overruns", static_cast<int64_t>(t.chain_overruns));
   json.Int("nodes_total", static_cast<int64_t>(result.nodes.size()));
   json.Int("nodes_failed", result.nodes_failed);
   json.Int("nodes_anomalous", result.nodes_anomalous);
-  json.Int("headroom_low_total", static_cast<int64_t>(result.headroom_low_total));
+  json.Int("headroom_low_total", static_cast<int64_t>(t.headroom_low_total));
 
   // Silent ring truncation, surfaced: a node that quietly wrapped its trace
   // ring has degraded oracle coverage, so the fleet owns up to it here.
   json.Key("trace");
   json.OpenObject();
-  json.Int("dropped_total", static_cast<int64_t>(result.trace_dropped_total));
-  json.Int("worst_node", result.trace_dropped_worst_node);
-  json.Int("worst_node_dropped", static_cast<int64_t>(result.trace_dropped_worst));
+  json.Int("dropped_total", static_cast<int64_t>(t.trace_dropped_total));
+  json.Int("worst_node", t.trace_dropped_worst_node);
+  json.Int("worst_node_dropped", static_cast<int64_t>(t.trace_dropped_worst));
   json.CloseObject();
   {
     char digest[32];
@@ -85,15 +88,6 @@ std::string BuildFleetRunReport(const FleetRunInfo& info, const FleetResult& res
   json.Number("wall_seconds", result.wall_seconds);
   json.Number("events_per_wall_sec", result.events_per_wall_sec);
 
-  if (info.telemetry_ratio > 0) {
-    json.Key("telemetry_overhead");
-    json.OpenObject();
-    json.Number("on_events_per_wall_sec", info.telemetry_on_events_per_wall_sec);
-    json.Number("off_events_per_wall_sec", info.telemetry_off_events_per_wall_sec);
-    json.Number("ratio", info.telemetry_ratio);
-    json.CloseObject();
-  }
-
   if (info.streaming_ratio > 0) {
     json.Key("streaming_overhead");
     json.OpenObject();
@@ -113,10 +107,8 @@ std::string BuildFleetRunReport(const FleetRunInfo& info, const FleetResult& res
 
   // Fleet telemetry plane: exact-bucket percentile tables over the merged
   // per-node histograms (schema "emeralds.fleet.telemetry/1").
-  if (result.telemetry.nodes_collected > 0) {
-    json.Key("telemetry");
-    obs::AppendFleetTelemetrySection(json, result.telemetry);
-  }
+  json.Key("telemetry");
+  obs::AppendFleetTelemetrySection(json, t);
 
   // Streaming plane: the fleet-merged window series (every node's same-index
   // windows merged via the lossless histogram Merge) and the canonical alert

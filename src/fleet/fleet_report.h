@@ -46,17 +46,12 @@ struct FleetRunInfo {
   // Echoed so fleet_inspect can rebuild the exact FleetOptions from the
   // report alone (0 = the kernel's retain-everything default).
   size_t trace_capacity = 0;
-  // Host-side overhead of telemetry collection (rate with collection on vs
-  // off) and of the streaming timeseries + alert plane (rate with it on vs
-  // telemetry-only), measured by bench_fleet in interleaved rounds: each
+  // Host-side overhead of the streaming timeseries + alert plane (rate with
+  // it on vs off), measured by bench_fleet in interleaved rounds: each
   // side's best events/wall-sec rate, and the median over rounds of the
-  // per-round on/off rate ratio. The telemetry section is informational;
-  // bench_compare gates the streaming *ratio* against the committed baseline
-  // (a ratio is host-speed-independent). A section is omitted when its
-  // ratio is zero.
-  double telemetry_on_events_per_wall_sec = 0.0;
-  double telemetry_off_events_per_wall_sec = 0.0;
-  double telemetry_ratio = 0.0;
+  // per-round on/off rate ratio. bench_compare gates the *ratio* against the
+  // committed baseline (a ratio is host-speed-independent). The section is
+  // omitted when the ratio is zero.
   double streaming_on_events_per_wall_sec = 0.0;
   double streaming_off_events_per_wall_sec = 0.0;
   double streaming_ratio = 0.0;

@@ -76,19 +76,19 @@ std::string BuildOpenMetricsExposition(const FleetResult& result) {
 
   Counter(&out, "emeralds_events", "Simulated kernel events (switches+syscalls+irqs+timers)",
           result.events_total);
-  Counter(&out, "emeralds_jobs_completed", "Periodic jobs completed", result.jobs_completed);
+  const obs::FleetTelemetry& t = result.telemetry;
+  Counter(&out, "emeralds_jobs_completed", "Periodic jobs completed", t.jobs_completed);
   Counter(&out, "emeralds_deadline_misses", "Jobs completed past their deadline",
-          result.deadline_misses);
+          t.deadline_misses);
   Counter(&out, "emeralds_timer_dispatches", "Software timer dispatches",
           result.timer_dispatches);
   Counter(&out, "emeralds_chain_completed", "Causal chain instances completed",
-          result.chain_completed);
-  Counter(&out, "emeralds_chain_overruns", "Chain instances past their SLO",
-          result.chain_overruns);
+          obs::ChainCompletedTotal(t.chains));
+  Counter(&out, "emeralds_chain_overruns", "Chain instances past their SLO", t.chain_overruns);
   Counter(&out, "emeralds_headroom_low", "Jobs predicted to finish with low slack",
-          result.headroom_low_total);
+          t.headroom_low_total);
   Counter(&out, "emeralds_trace_dropped", "Trace events evicted by ring wrap",
-          result.trace_dropped_total);
+          t.trace_dropped_total);
   Counter(&out, "emeralds_timeseries_lost_samples",
           "Snapshot-ring samples lost before the streaming drain",
           result.timeseries_lost_samples);
@@ -97,12 +97,12 @@ std::string BuildOpenMetricsExposition(const FleetResult& result) {
   Line(&out, "# TYPE emeralds_node_deadline_misses gauge");
   for (size_t i = 0; i < result.nodes.size(); ++i) {
     Line(&out, "emeralds_node_deadline_misses{node=\"%zu\"} %" PRIu64, i,
-         result.nodes[i].deadline_misses);
+         result.nodes[i].telemetry.deadline_misses);
   }
   Line(&out, "# TYPE emeralds_node_chain_overruns gauge");
   for (size_t i = 0; i < result.nodes.size(); ++i) {
     Line(&out, "emeralds_node_chain_overruns{node=\"%zu\"} %" PRIu64, i,
-         result.nodes[i].chain_overruns);
+         result.nodes[i].telemetry.chain_overruns);
   }
   Line(&out, "# TYPE emeralds_node_anomaly_score gauge");
   for (size_t i = 0; i < result.nodes.size(); ++i) {

@@ -61,33 +61,26 @@ FleetTriage ComputeFleetTriage(const FleetResult& fleet, int top_k) {
   struct MetricSource {
     const char* name;
     uint64_t (*get)(const NodeResult&);
-    bool needs_telemetry;
   };
   static const MetricSource kSources[] = {
-      {"anomaly_score", [](const NodeResult& r) { return r.anomaly_score; }, false},
-      {"deadline_misses", [](const NodeResult& r) { return r.deadline_misses; }, false},
-      {"chain_overruns", [](const NodeResult& r) { return r.chain_overruns; }, false},
-      {"headroom_low_events", [](const NodeResult& r) { return r.headroom_low_events; },
-       false},
-      {"trace_dropped", [](const NodeResult& r) { return r.trace_dropped; }, false},
+      {"anomaly_score", [](const NodeResult& r) { return r.anomaly_score; }},
+      {"deadline_misses", [](const NodeResult& r) { return r.telemetry.deadline_misses; }},
+      {"chain_overruns", [](const NodeResult& r) { return r.telemetry.chain_overruns; }},
+      {"headroom_low_events",
+       [](const NodeResult& r) { return r.telemetry.headroom_low_events; }},
+      {"trace_dropped", [](const NodeResult& r) { return r.telemetry.trace_dropped; }},
       {"blamed_tardiness_us",
        [](const NodeResult& r) {
          return static_cast<uint64_t>(r.blame.tardiness_ns / 1000);
-       },
-       false},
+       }},
       {"response_p99_us",
        [](const NodeResult& r) {
          return static_cast<uint64_t>(r.telemetry.response.PercentileBound(0.99).micros());
-       },
-       true},
+       }},
   };
 
-  bool telemetry = fleet.telemetry.nodes_collected > 0;
   std::vector<uint64_t> values(n);
   for (const MetricSource& src : kSources) {
-    if (src.needs_telemetry && !telemetry) {
-      continue;
-    }
     for (size_t i = 0; i < n; ++i) {
       values[i] = src.get(fleet.nodes[i]);
     }

@@ -11,6 +11,7 @@
 #include "src/core/kernel.h"
 #include "src/hal/hardware.h"
 #include "src/obs/blackbox.h"
+#include "src/obs/json_writer.h"
 #include "src/obs/trace_replay.h"
 
 namespace emeralds {
@@ -701,116 +702,105 @@ std::string ReproCommand(const TortureOptions& options) {
 
 namespace {
 
-void AppendKeyValue(std::string* out, const char* key, uint64_t value, bool* first) {
-  char buffer[96];
-  std::snprintf(buffer, sizeof(buffer), "%s\"%s\": %llu", *first ? "" : ", ", key,
-                static_cast<unsigned long long>(value));
-  *first = false;
-  *out += buffer;
+void AppendTortureRun(obs::Json& j, const TortureOptions& options, const TortureResult& result) {
+  j.OpenObject();
+  j.Int("seed", static_cast<int64_t>(result.seed));
+  j.Bool("ok", result.ok);
+  j.Int("ops_executed", result.ops_executed);
+  j.Int("violations", static_cast<int64_t>(result.violations));
+  j.Int("fault_mismatches", static_cast<int64_t>(result.fault_mismatches));
+  j.Key("reconciliation");
+  j.OpenObject();
+  j.Bool("checked", result.reconciliation.checked);
+  j.Bool("ok", result.reconciliation.ok());
+  j.CloseObject();
+  j.Key("cycles");
+  j.OpenObject();
+  j.Bool("conserved", result.cycles_conserved);
+  j.Int("residual_ns", result.cycle_residual_ns);
+  j.Int("unattributed_ns", result.cycle_unattributed_ns);
+  j.CloseObject();
+  j.Key("trace");
+  j.OpenObject();
+  j.Int("retained", static_cast<int64_t>(result.trace_retained));
+  j.Int("dropped", static_cast<int64_t>(result.trace_dropped));
+  char digest[24];
+  std::snprintf(digest, sizeof(digest), "%016llx",
+                static_cast<unsigned long long>(result.trace_digest));
+  j.String("digest", digest);
+  j.CloseObject();
+  j.Key("chains");
+  j.OpenObject();
+  j.Int("violations", static_cast<int64_t>(result.chain_violations));
+  j.Int("orphan_hops", static_cast<int64_t>(result.chain_orphan_hops));
+  j.Int("completed", static_cast<int64_t>(result.chain_completed));
+  j.Int("origins", static_cast<int64_t>(result.chain_origins));
+  j.CloseObject();
+  j.Key("postmortem");
+  j.OpenObject();
+  j.Int("misses_analyzed", static_cast<int64_t>(result.postmortem_misses));
+  j.Int("conservation_failures", static_cast<int64_t>(result.postmortem_conservation_failures));
+  j.Int("unattributed_ns", result.postmortem_unattributed_ns);
+  j.Int("unmatched", static_cast<int64_t>(result.postmortem_unmatched));
+  j.Int("incomplete", static_cast<int64_t>(result.postmortem_incomplete));
+  j.CloseObject();
+  j.Key("ops");
+  j.OpenObject();
+  for (int i = 0; i < kNumOpKinds; ++i) {
+    j.Int(OpKindToString(static_cast<OpKind>(i)),
+          static_cast<int64_t>(result.coverage.op_counts[i]));
+  }
+  j.CloseObject();
+  j.Key("statuses");
+  j.OpenObject();
+  for (int i = 0; i < 32; ++i) {
+    if (result.coverage.status_counts[i] > 0) {
+      j.Int(StatusToString(static_cast<Status>(-i)),
+            static_cast<int64_t>(result.coverage.status_counts[i]));
+    }
+  }
+  j.CloseObject();
+  const KernelStats& s = result.stats;
+  j.Key("stats");
+  j.OpenObject();
+  j.Int("context_switches", static_cast<int64_t>(s.context_switches));
+  j.Int("jobs_completed", static_cast<int64_t>(s.jobs_completed));
+  j.Int("deadline_misses", static_cast<int64_t>(s.deadline_misses));
+  j.Int("sem_acquires", static_cast<int64_t>(s.sem_acquires));
+  j.Int("mailbox_truncations", static_cast<int64_t>(s.mailbox_truncations));
+  j.Int("pi_chain_limit_hits", static_cast<int64_t>(s.pi_chain_limit_hits));
+  j.Int("smsg_read_retries", static_cast<int64_t>(s.smsg_read_retries));
+  j.Int("interrupts", static_cast<int64_t>(s.interrupts));
+  j.CloseObject();
+  j.String("repro", ReproCommand(options));
+  j.CloseObject();
 }
 
 }  // namespace
 
-void AppendTortureRunJson(std::string* out, const TortureOptions& options,
-                          const TortureResult& result) {
-  char buffer[256];
-  std::snprintf(buffer, sizeof(buffer),
-                "    {\"seed\": %llu, \"ok\": %s, \"ops_executed\": %d, "
-                "\"violations\": %llu, \"fault_mismatches\": %llu,\n",
-                static_cast<unsigned long long>(result.seed), result.ok ? "true" : "false",
-                result.ops_executed, static_cast<unsigned long long>(result.violations),
-                static_cast<unsigned long long>(result.fault_mismatches));
-  *out += buffer;
-  std::snprintf(buffer, sizeof(buffer),
-                "     \"reconciliation\": {\"checked\": %s, \"ok\": %s},\n",
-                result.reconciliation.checked ? "true" : "false",
-                result.reconciliation.ok() ? "true" : "false");
-  *out += buffer;
-  std::snprintf(buffer, sizeof(buffer),
-                "     \"cycles\": {\"conserved\": %s, \"residual_ns\": %lld, "
-                "\"unattributed_ns\": %lld},\n",
-                result.cycles_conserved ? "true" : "false",
-                static_cast<long long>(result.cycle_residual_ns),
-                static_cast<long long>(result.cycle_unattributed_ns));
-  *out += buffer;
-  std::snprintf(buffer, sizeof(buffer),
-                "     \"trace\": {\"retained\": %llu, \"dropped\": %llu, \"digest\": "
-                "\"%016llx\"},\n",
-                static_cast<unsigned long long>(result.trace_retained),
-                static_cast<unsigned long long>(result.trace_dropped),
-                static_cast<unsigned long long>(result.trace_digest));
-  *out += buffer;
-  std::snprintf(buffer, sizeof(buffer),
-                "     \"chains\": {\"violations\": %llu, \"orphan_hops\": %llu, "
-                "\"completed\": %llu, \"origins\": %llu},\n",
-                static_cast<unsigned long long>(result.chain_violations),
-                static_cast<unsigned long long>(result.chain_orphan_hops),
-                static_cast<unsigned long long>(result.chain_completed),
-                static_cast<unsigned long long>(result.chain_origins));
-  *out += buffer;
-  std::snprintf(buffer, sizeof(buffer),
-                "     \"postmortem\": {\"misses_analyzed\": %llu, "
-                "\"conservation_failures\": %llu, \"unattributed_ns\": %lld, "
-                "\"unmatched\": %llu, \"incomplete\": %llu},\n",
-                static_cast<unsigned long long>(result.postmortem_misses),
-                static_cast<unsigned long long>(result.postmortem_conservation_failures),
-                static_cast<long long>(result.postmortem_unattributed_ns),
-                static_cast<unsigned long long>(result.postmortem_unmatched),
-                static_cast<unsigned long long>(result.postmortem_incomplete));
-  *out += buffer;
-  *out += "     \"ops\": {";
-  bool first = true;
-  for (int i = 0; i < kNumOpKinds; ++i) {
-    AppendKeyValue(out, OpKindToString(static_cast<OpKind>(i)), result.coverage.op_counts[i],
-                   &first);
-  }
-  *out += "},\n     \"statuses\": {";
-  first = true;
-  for (int i = 0; i < 32; ++i) {
-    if (result.coverage.status_counts[i] > 0) {
-      AppendKeyValue(out, StatusToString(static_cast<Status>(-i)),
-                     result.coverage.status_counts[i], &first);
-    }
-  }
-  *out += "},\n     \"stats\": {";
-  first = true;
-  AppendKeyValue(out, "context_switches", result.stats.context_switches, &first);
-  AppendKeyValue(out, "jobs_completed", result.stats.jobs_completed, &first);
-  AppendKeyValue(out, "deadline_misses", result.stats.deadline_misses, &first);
-  AppendKeyValue(out, "sem_acquires", result.stats.sem_acquires, &first);
-  AppendKeyValue(out, "mailbox_truncations", result.stats.mailbox_truncations, &first);
-  AppendKeyValue(out, "pi_chain_limit_hits", result.stats.pi_chain_limit_hits, &first);
-  AppendKeyValue(out, "smsg_read_retries", result.stats.smsg_read_retries, &first);
-  AppendKeyValue(out, "interrupts", result.stats.interrupts, &first);
-  *out += "},\n";
-  std::snprintf(buffer, sizeof(buffer), "     \"repro\": \"%s\"}",
-                ReproCommand(options).c_str());
-  *out += buffer;
-}
-
 std::string BuildTortureReport(const std::vector<TortureOptions>& options,
                                const std::vector<TortureResult>& results) {
-  std::string out;
-  out += "{\n  \"schema\": \"";
-  out += kTortureSchema;
-  out += "\",\n  \"runs\": [\n";
-  for (size_t i = 0; i < results.size(); ++i) {
-    AppendTortureRunJson(&out, options[i], results[i]);
-    out += i + 1 < results.size() ? ",\n" : "\n";
-  }
-  out += "  ],\n  \"totals\": {";
+  obs::Json j;
+  j.OpenObject();
+  j.String("schema", kTortureSchema);
+  j.Key("runs");
+  j.OpenArray();
   uint64_t failed = 0;
   uint64_t ops = 0;
-  for (const TortureResult& r : results) {
-    failed += r.ok ? 0 : 1;
-    ops += static_cast<uint64_t>(r.ops_executed);
+  for (size_t i = 0; i < results.size(); ++i) {
+    AppendTortureRun(j, options[i], results[i]);
+    failed += results[i].ok ? 0 : 1;
+    ops += static_cast<uint64_t>(results[i].ops_executed);
   }
-  bool first = true;
-  AppendKeyValue(&out, "runs", results.size(), &first);
-  AppendKeyValue(&out, "failed", failed, &first);
-  AppendKeyValue(&out, "ops_executed", ops, &first);
-  out += "}\n}\n";
-  return out;
+  j.CloseArray();
+  j.Key("totals");
+  j.OpenObject();
+  j.Int("runs", static_cast<int64_t>(results.size()));
+  j.Int("failed", static_cast<int64_t>(failed));
+  j.Int("ops_executed", static_cast<int64_t>(ops));
+  j.CloseObject();
+  j.CloseObject();
+  return j.str() + "\n";
 }
 
 }  // namespace fuzz

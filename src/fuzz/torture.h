@@ -175,10 +175,6 @@ TortureOptions ShrinkFailingRun(const TortureOptions& options);
 // One-line command that reproduces this exact run with the torture CLI.
 std::string ReproCommand(const TortureOptions& options);
 
-// Appends one run's JSON object (schema fragment) to `out`.
-void AppendTortureRunJson(std::string* out, const TortureOptions& options,
-                          const TortureResult& result);
-
 // Full report: {"schema": "emeralds.fuzz.torture/1", "runs": [...], totals}.
 std::string BuildTortureReport(const std::vector<TortureOptions>& options,
                                const std::vector<TortureResult>& results);

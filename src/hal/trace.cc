@@ -145,17 +145,22 @@ uint64_t DigestTrace(std::span<const TraceEvent> window, std::span<const uint64_
   return hash;
 }
 
-size_t TraceSink::ExportCsv(std::FILE* out) const {
+void WriteTraceCsv(std::FILE* out, std::span<const TraceEvent> events, uint64_t dropped) {
   std::fprintf(out, "time_us,event,arg0,arg1,arg2\n");
-  for (size_t i = 0; i < size(); ++i) {
-    const TraceEvent& e = at(i);
+  for (const TraceEvent& e : events) {
     std::fprintf(out, "%lld,%s,%d,%d,%d\n", static_cast<long long>(e.time.micros()),
                  TraceEventTypeToString(e.type), e.arg0, e.arg1, e.arg2);
   }
-  if (dropped_ > 0) {
-    std::fprintf(out, "# dropped=%llu\n", static_cast<unsigned long long>(dropped_));
+  if (dropped > 0) {
+    std::fprintf(out, "# dropped=%llu\n", static_cast<unsigned long long>(dropped));
   }
-  return size();
+}
+
+size_t TraceSink::ExportCsv(std::FILE* out) const {
+  std::vector<TraceEvent> scratch;
+  std::span<const TraceEvent> window = Window(&scratch);
+  WriteTraceCsv(out, window, dropped_);
+  return window.size();
 }
 
 void TraceSink::Dump(std::FILE* out) const {

@@ -217,11 +217,9 @@ class TraceSink {
   // (default stdout), followed by a drop note when events were lost.
   void Dump(std::FILE* out = stdout) const;
 
-  // Writes the retained events as CSV (time_us,event,arg0,arg1,arg2) to
-  // `out`, for external plotting (Gantt charts of the schedule) and
-  // fleet_inspect --trace replay. When events were dropped, a trailing
-  // "# dropped=N"
-  // comment line records the loss. Returns the number of data rows written.
+  // Writes the retained window with WriteTraceCsv, for external plotting
+  // (Gantt charts of the schedule) and fleet_inspect --trace replay.
+  // Returns the number of data rows written.
   size_t ExportCsv(std::FILE* out) const;
 
  private:
@@ -231,6 +229,12 @@ class TraceSink {
   uint64_t dropped_ = 0;
   uint64_t epochs_ = 0;
 };
+
+// Writes `events` as CSV (time_us,event,arg0,arg1,arg2) to `out`, one row
+// per event. When `dropped` > 0, a trailing "# dropped=N" comment line
+// records the loss. The one trace CSV format: TraceSink::ExportCsv and the
+// black-box bundle's trace.csv both write it, obs::ImportTraceCsv reads it.
+void WriteTraceCsv(std::FILE* out, std::span<const TraceEvent> events, uint64_t dropped);
 
 // FNV-1a over `len` bytes of `data`, continuing from `hash`.
 inline constexpr uint64_t kFnv1aOffset = 0xcbf29ce484222325ULL;

@@ -64,11 +64,6 @@ struct BlackBoxSnapshot {
 BlackBoxSnapshot CaptureBlackBox(const Kernel& kernel, std::string label,
                                  std::string reason, std::string repro);
 
-// Writes an event window in TraceSink::ExportCsv format (header, rows,
-// "# dropped=N" trailer when dropped > 0).
-bool WriteTraceCsvFile(const std::string& path, const TraceEvent* events, size_t count,
-                       uint64_t dropped);
-
 // The blackbox.json document.
 std::string BuildBlackBoxReport(const BlackBoxSnapshot& box);
 

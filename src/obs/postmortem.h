@@ -19,9 +19,10 @@
 // Attribution is gap-based: between consecutive events every open job's
 // elapsed time is classified by the victim's scheduler state (running /
 // ready / blocked-and-why), with kOverheadSpan events carving the kernel's
-// charged advances on the victim's core out of the gap. Without spans
-// (KernelConfig::trace_overhead_spans = false, or a pre-span trace) the
-// ledger still telescopes but overhead lands in own-execution / preemption.
+// charged advances on the victim's core out of the gap. The kernel always
+// records spans; without them (a legacy CSV exported before spans existed,
+// as in bench/testdata/legacy_trace.csv) the ledger still telescopes but
+// overhead lands in own-execution / preemption.
 
 #ifndef SRC_OBS_POSTMORTEM_H_
 #define SRC_OBS_POSTMORTEM_H_

@@ -11,7 +11,6 @@ namespace obs {
 NodeTelemetry CollectNodeTelemetry(const Kernel& kernel, const TraceAnalysis& analysis,
                                    const ChainAnalysis& chains) {
   NodeTelemetry t;
-  t.collected = true;
 
   const KernelStats& s = kernel.stats();
   t.jobs_completed = s.jobs_completed;
@@ -28,14 +27,9 @@ NodeTelemetry CollectNodeTelemetry(const Kernel& kernel, const TraceAnalysis& an
     t.core_cycles[c] = s.core_cycles[c].total();
   }
 
-  // Headroom minimum across every thread the monitor has scored.
-  for (size_t i = 0; i < kernel.thread_count(); ++i) {
-    const Tcb& tcb = kernel.thread(ThreadId(static_cast<int>(i)));
-    if (tcb.headroom_seen && (!t.headroom_seen || tcb.headroom_min < t.headroom_min)) {
-      t.headroom_seen = true;
-      t.headroom_min = tcb.headroom_min;
-    }
-  }
+  // Every scored job feeds headroom_hist, which keeps the exact minimum.
+  t.headroom_seen = s.headroom_hist.count() > 0;
+  t.headroom_min = s.headroom_hist.min();
 
   // Job response times across all tasks: a bucket-sum merge of the per-task
   // histograms the analyzer already built.
@@ -69,9 +63,6 @@ NodeTelemetry CollectNodeTelemetry(const Kernel& kernel, const TraceAnalysis& an
 }
 
 void MergeNodeTelemetry(FleetTelemetry* fleet, const NodeTelemetry& node, int node_index) {
-  if (!node.collected) {
-    return;
-  }
   ++fleet->nodes_collected;
   fleet->jobs_completed += node.jobs_completed;
   fleet->deadline_misses += node.deadline_misses;
@@ -125,6 +116,14 @@ void MergeNodeTelemetry(FleetTelemetry* fleet, const NodeTelemetry& node, int no
       fc->hops[i].exec.Merge(nc.hops[i].exec);
     }
   }
+}
+
+uint64_t ChainCompletedTotal(const std::vector<ChainTelemetry>& chains) {
+  uint64_t total = 0;
+  for (const ChainTelemetry& c : chains) {
+    total += c.completed;
+  }
+  return total;
 }
 
 void AppendTelemetryHistogram(Json& j, const char* key, const Log2Histogram& h) {
@@ -201,7 +200,6 @@ void AppendCycles(Json& j, const Duration (&cycles)[kNumCycleBuckets], Duration 
 
 void AppendNodeTelemetrySection(Json& j, const NodeTelemetry& t) {
   j.OpenObject();
-  j.Bool("collected", t.collected);
   j.Int("jobs_completed", static_cast<int64_t>(t.jobs_completed));
   j.Int("deadline_misses", static_cast<int64_t>(t.deadline_misses));
   j.Int("chain_overruns", static_cast<int64_t>(t.chain_overruns));

@@ -12,8 +12,10 @@
 //
 // Collection is zero-virtual-cost by construction: CollectNodeTelemetry
 // only *reads* kernel state after the run has reached its horizon (it never
-// advances the virtual clock or records events), so fleet digests are
-// bit-identical with telemetry on or off. Tests enforce this.
+// advances the virtual clock or records events), so every fleet node
+// collects its block on every run. The blocks are the fleet's only copy of
+// its job, miss, chain, headroom and trace-drop counters: NodeResult and
+// FleetResult (src/fleet/fleet.h) carry them here and nowhere else.
 
 #ifndef SRC_OBS_TELEMETRY_H_
 #define SRC_OBS_TELEMETRY_H_
@@ -63,7 +65,6 @@ struct ChainTelemetry {
 // it merges losslessly: counters add, histograms bucket-sum, minima take
 // the min.
 struct NodeTelemetry {
-  bool collected = false;
   uint64_t jobs_completed = 0;
   uint64_t deadline_misses = 0;
   uint64_t chain_overruns = 0;
@@ -72,7 +73,8 @@ struct NodeTelemetry {
   // Snapshot-ring evictions before the host drained them: the time-series
   // windows spanning these are lower bounds, so the loss is owned up to here.
   uint64_t stats_snapshot_drops = 0;
-  // Deepest the headroom monitor saw any job cut into its slack.
+  // Deepest the headroom monitor saw any job cut into its slack (the exact
+  // minimum of KernelStats::headroom_hist).
   bool headroom_seen = false;
   Duration headroom_min;
   // Per-CycleBucket virtual-time shares (the node's attribution ledger).
@@ -119,6 +121,10 @@ NodeTelemetry CollectNodeTelemetry(const Kernel& kernel, const TraceAnalysis& an
 // Merges `node` (identified by `node_index` for worst-offender tracking)
 // into `fleet`. Chains merge by name; hops merge positionally.
 void MergeNodeTelemetry(FleetTelemetry* fleet, const NodeTelemetry& node, int node_index);
+
+// Completed instances summed over `chains` (the fleet report's
+// chain_completed).
+uint64_t ChainCompletedTotal(const std::vector<ChainTelemetry>& chains);
 
 // Histogram JSON: count/min_us/max_us/mean_us/p50_us/p90_us/p99_us/p999_us/
 // total_us (a superset of what bench_json_check's RequireHistogram needs).

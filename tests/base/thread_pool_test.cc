@@ -62,7 +62,7 @@ TEST(ThreadPoolTest, WorkStealingBalancesOneHeavyProducer) {
         // before the thieves arrive.
         volatile int sink = 0;
         for (int spin = 0; spin < 20000; ++spin) {
-          sink += spin;
+          sink = sink + spin;
         }
       });
     }

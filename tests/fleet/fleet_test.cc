@@ -27,7 +27,7 @@ TEST(FleetTest, AllNodesPassOracles) {
   for (const NodeResult& node : result.nodes) {
     EXPECT_TRUE(node.ok()) << node.scheduler << ": " << node.failure;
     EXPECT_GT(node.events, 0u);
-    EXPECT_GT(node.jobs_completed, 0u);
+    EXPECT_GT(node.telemetry.jobs_completed, 0u);
     EXPECT_GT(node.timer_dispatches, 0u);
     // RunUntil overshoots the horizon by the in-flight charge granularity.
     EXPECT_GE(node.virtual_time, Milliseconds(50));
@@ -45,11 +45,11 @@ TEST(FleetTest, AggregatesSumTheNodes) {
   Duration virtual_time;
   for (const NodeResult& node : result.nodes) {
     events += node.events;
-    jobs += node.jobs_completed;
+    jobs += node.telemetry.jobs_completed;
     virtual_time = virtual_time + node.virtual_time;
   }
   EXPECT_EQ(result.events_total, events);
-  EXPECT_EQ(result.jobs_completed, jobs);
+  EXPECT_EQ(result.telemetry.jobs_completed, jobs);
   EXPECT_EQ(result.virtual_time_total, virtual_time);
   EXPECT_GT(result.events_per_virtual_sec, 0.0);
   EXPECT_GT(result.arena_high_water, 0u);
@@ -103,23 +103,20 @@ TEST(FleetTest, DigestIsStableAcrossRunsAndWorkerCounts) {
 }
 
 // Telemetry collection is a pure host-side read after each node's virtual
-// horizon: digests must be bit-identical with it on or off, and — with it
-// on — across worker counts. This is the zero-virtual-cost guarantee the
-// telemetry plane is built on.
+// horizon, so every node collects it on every run: the digest and the
+// merged telemetry must be bit-identical across worker counts.
 TEST(FleetTest, TelemetryCollectionNeverPerturbsTheDigest) {
   FleetOptions opt = SmallFleet();
-  opt.telemetry = false;
-  FleetResult off = RunFleet(opt);
-  EXPECT_EQ(off.telemetry.nodes_collected, 0);
-
-  opt.telemetry = true;
-  for (int workers : {1, 2, 8}) {
+  opt.workers = 1;
+  FleetResult serial = RunFleet(opt);
+  for (int workers : {2, 8}) {
     opt.workers = workers;
     FleetResult on = RunFleet(opt);
-    EXPECT_EQ(on.fleet_digest, off.fleet_digest) << workers << " workers";
-    EXPECT_EQ(on.events_total, off.events_total) << workers << " workers";
+    EXPECT_EQ(on.fleet_digest, serial.fleet_digest) << workers << " workers";
+    EXPECT_EQ(on.events_total, serial.events_total) << workers << " workers";
     EXPECT_EQ(on.telemetry.nodes_collected, opt.instances) << workers << " workers";
-    EXPECT_EQ(on.telemetry.jobs_completed, on.jobs_completed) << workers << " workers";
+    EXPECT_EQ(on.telemetry.jobs_completed, serial.telemetry.jobs_completed)
+        << workers << " workers";
     EXPECT_GT(on.telemetry.response.count(), 0u) << workers << " workers";
     // The merged percentile tables are themselves deterministic.
     EXPECT_EQ(on.telemetry.response.PercentileBound(0.99),
@@ -185,19 +182,20 @@ TEST(FleetTest, SustainsAThousandInstances) {
   // truncated window for a failure.
   uint64_t dropped = 0;
   for (size_t i = 0; i < result.nodes.size(); ++i) {
-    EXPECT_GT(result.nodes[i].trace_dropped, 0u) << "node " << i;
-    dropped += result.nodes[i].trace_dropped;
+    EXPECT_GT(result.nodes[i].telemetry.trace_dropped, 0u) << "node " << i;
+    dropped += result.nodes[i].telemetry.trace_dropped;
   }
-  EXPECT_EQ(result.trace_dropped_total, dropped);
-  ASSERT_GE(result.trace_dropped_worst_node, 0);
-  EXPECT_EQ(result.trace_dropped_worst,
-            result.nodes[static_cast<size_t>(result.trace_dropped_worst_node)].trace_dropped);
+  const obs::FleetTelemetry& t = result.telemetry;
+  EXPECT_EQ(t.trace_dropped_total, dropped);
+  ASSERT_GE(t.trace_dropped_worst_node, 0);
+  EXPECT_EQ(t.trace_dropped_worst,
+            result.nodes[static_cast<size_t>(t.trace_dropped_worst_node)].telemetry.trace_dropped);
   // The wrapped window reads through the scratch copy; a serial replay of a
   // sampled node digests it identically.
   const int sample = 613;
   NodeResult replay = InspectNode(opt, sample, nullptr);
   EXPECT_EQ(replay.trace_digest, result.nodes[sample].trace_digest);
-  EXPECT_EQ(replay.trace_dropped, result.nodes[sample].trace_dropped);
+  EXPECT_EQ(replay.telemetry.trace_dropped, result.nodes[sample].telemetry.trace_dropped);
 }
 
 TEST(FleetTest, NodeTraceCapacityRetainsTheWholeRunByDefault) {
@@ -245,13 +243,11 @@ void ExpectAlertsEqual(const std::vector<obs::AlertEvent>& a,
 TEST(FleetTest, StreamingCollectionNeverPerturbsTheDigest) {
   FleetOptions opt = SmallFleet();
   opt.timeseries = false;
-  opt.alerts = false;
   FleetResult off = RunFleet(opt);
   EXPECT_TRUE(off.windows.empty());
   EXPECT_TRUE(off.alerts.empty());
 
   opt.timeseries = true;
-  opt.alerts = true;
   for (int workers : {1, 2, 8}) {
     opt.workers = workers;
     FleetResult on = RunFleet(opt);
@@ -267,8 +263,8 @@ TEST(FleetTest, StreamingCollectionNeverPerturbsTheDigest) {
       jobs += w.jobs_completed;
       misses += w.deadline_misses;
     }
-    EXPECT_EQ(jobs, on.jobs_completed) << workers << " workers";
-    EXPECT_EQ(misses, on.deadline_misses) << workers << " workers";
+    EXPECT_EQ(jobs, on.telemetry.jobs_completed) << workers << " workers";
+    EXPECT_EQ(misses, on.telemetry.deadline_misses) << workers << " workers";
   }
 }
 
@@ -299,7 +295,7 @@ TEST(FleetTest, WindowSeriesAndAlertStreamAreBitIdentical) {
 // wide of the normal overrun share.
 TEST(FleetTest, QuietFleetFiresNoAlerts) {
   FleetResult result = RunFleet(SmallFleet());
-  EXPECT_EQ(result.deadline_misses, 0u);
+  EXPECT_EQ(result.telemetry.deadline_misses, 0u);
   EXPECT_EQ(result.alerts_fired, 0u);
   EXPECT_TRUE(result.alerts.empty());
 }

@@ -79,7 +79,7 @@ TEST(FleetTriageTest, OverloadedNodeIsTheTopOutlierAndGetsABlackBox) {
   // The sick node misses deadlines the healthy fleet never does, so it owns
   // the top anomaly score and the deadline_misses outlier flag.
   const NodeResult& sick = result.nodes[kSickNode];
-  EXPECT_GT(sick.deadline_misses, 0u);
+  EXPECT_GT(sick.telemetry.deadline_misses, 0u);
   EXPECT_TRUE(sick.anomalous());
   for (size_t i = 0; i < result.nodes.size(); ++i) {
     if (static_cast<int>(i) != kSickNode) {
@@ -165,7 +165,7 @@ TEST(FleetTriageTest, InspectNodeReplaysAndExportsPerfetto) {
     EXPECT_GT(entries, 0u);
   });
   EXPECT_EQ(replay.trace_digest, fleet.nodes[kSickNode].trace_digest);
-  EXPECT_EQ(replay.deadline_misses, fleet.nodes[kSickNode].deadline_misses);
+  EXPECT_EQ(replay.telemetry.deadline_misses, fleet.nodes[kSickNode].telemetry.deadline_misses);
 
   std::string text = ReadFile(perfetto_path);
   ASSERT_FALSE(text.empty());

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/base/json.h"
 #include "src/core/kernel.h"
 #include "src/fuzz/torture.h"
 #include "src/obs/postmortem.h"
@@ -313,13 +314,18 @@ TEST(TortureTest, ReportCarriesSchemaAndRuns) {
   options.seed = 1;
   options.ops = 500;
   TortureResult result = RunTorture(options);
-  std::string report = BuildTortureReport({options}, {result});
-  EXPECT_NE(report.find("\"schema\": \"emeralds.fuzz.torture/1\""), std::string::npos);
-  EXPECT_NE(report.find("\"runs\""), std::string::npos);
-  EXPECT_NE(report.find("\"reconciliation\""), std::string::npos);
-  EXPECT_NE(report.find("\"totals\""), std::string::npos);
-  EXPECT_NE(report.find("\"repro\""), std::string::npos);
-  EXPECT_NE(report.find("\"chains\""), std::string::npos);
+  JsonValue report;
+  std::string error;
+  ASSERT_TRUE(JsonParse(BuildTortureReport({options}, {result}), &report, &error)) << error;
+  EXPECT_STREQ(report.StringOr("schema", ""), "emeralds.fuzz.torture/1");
+  const JsonValue* runs = report.Find("runs", JsonValue::Type::kArray);
+  ASSERT_NE(runs, nullptr);
+  ASSERT_EQ(runs->array.size(), 1u);
+  const JsonValue& run = runs->array[0];
+  EXPECT_NE(run.Find("reconciliation", JsonValue::Type::kObject), nullptr);
+  EXPECT_NE(run.Find("chains", JsonValue::Type::kObject), nullptr);
+  EXPECT_STREQ(run.StringOr("repro", ""), ReproCommand(options).c_str());
+  EXPECT_NE(report.Find("totals", JsonValue::Type::kObject), nullptr);
 }
 
 }  // namespace

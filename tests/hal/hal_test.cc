@@ -193,7 +193,7 @@ struct IrqScript {
   InterruptController* ic = nullptr;
   int trigger = -1;
   void (*action)(InterruptController&) = nullptr;
-  std::vector<int> lines;
+  std::vector<int> lines{};
   static void Handler(void* context, int line) {
     auto* script = static_cast<IrqScript*>(context);
     script->lines.push_back(line);

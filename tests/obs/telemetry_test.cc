@@ -140,7 +140,6 @@ TEST(HistogramMergeTest, PercentileBoundBoundsTheTruePercentile) {
 NodeTelemetry MakeNode(const char* chain_name, int64_t deadline_us, uint64_t overruns,
                        uint64_t dropped, int64_t headroom_us) {
   NodeTelemetry t;
-  t.collected = true;
   t.jobs_completed = 10;
   t.deadline_misses = 1;
   t.chain_overruns = overruns;
@@ -168,9 +167,6 @@ TEST(FleetTelemetryMergeTest, MergesChainsByNameAndTracksWorstNodes) {
   MergeNodeTelemetry(&fleet, MakeNode("pipe", 3000, 2, 0, 500), 0);
   MergeNodeTelemetry(&fleet, MakeNode("pipe", 5000, 1, 40, 80), 1);
   MergeNodeTelemetry(&fleet, MakeNode("tick", 5000, 0, 10, 900), 2);
-
-  NodeTelemetry uncollected;  // telemetry off: must not contribute
-  MergeNodeTelemetry(&fleet, uncollected, 3);
 
   EXPECT_EQ(fleet.nodes_collected, 3);
   EXPECT_EQ(fleet.jobs_completed, 30u);

@@ -713,18 +713,17 @@ int PrintReport(const JsonValue& root, const char* path) {
 }
 
 void PrintNodeResult(int index, const NodeResult& r) {
+  const obs::NodeTelemetry& t = r.telemetry;
   std::printf("node %d: %s, %" PRIu64 " events, %" PRIu64 " jobs, %" PRIu64
               " misses, %" PRIu64 " chain overruns, %" PRIu64 " headroom-low\n",
-              index, r.scheduler.c_str(), r.events, r.jobs_completed, r.deadline_misses,
-              r.chain_overruns, r.headroom_low_events);
+              index, r.scheduler.c_str(), r.events, t.jobs_completed, t.deadline_misses,
+              t.chain_overruns, t.headroom_low_events);
   std::printf("  digest=0x%016llx  trace dropped=%" PRIu64 "\n",
-              static_cast<unsigned long long>(r.trace_digest), r.trace_dropped);
-  if (r.telemetry.collected && r.telemetry.response.count() > 0) {
+              static_cast<unsigned long long>(r.trace_digest), t.trace_dropped);
+  if (t.response.count() > 0) {
     std::printf("  response: n=%" PRIu64 " p50<=%.0fus p99<=%.0fus max=%.0fus\n",
-                r.telemetry.response.count(),
-                r.telemetry.response.PercentileBound(0.5).micros_f(),
-                r.telemetry.response.PercentileBound(0.99).micros_f(),
-                r.telemetry.response.max().micros_f());
+                t.response.count(), t.response.PercentileBound(0.5).micros_f(),
+                t.response.PercentileBound(0.99).micros_f(), t.response.max().micros_f());
   }
   for (const obs::AlertEvent& e : r.alerts) {
     std::printf("  alert %8lldus %-20s %s value=%" PRIu64 "/%" PRIu64 "\n",
