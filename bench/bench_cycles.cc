@@ -12,8 +12,9 @@
 //
 // Output: an emeralds.obs.cycles/1 report at $EMERALDS_BENCH_JSON (default
 // ./BENCH_cycles.json), plus the full observability bundle under
-// $EMERALDS_OBS_DIR when set. Exit status 1 when the conservation invariant
-// fails, 0 otherwise.
+// $EMERALDS_OBS_DIR when set. Exit status 1 when the shared node oracle
+// suite (obs::RunNodeOracles, cycle conservation included) fails or an
+// output file cannot be written, 0 otherwise.
 
 #include <cstdio>
 #include <cstdlib>
@@ -21,12 +22,13 @@
 #include <vector>
 
 #include "bench/bench_report.h"
+#include "src/base/file.h"
 #include "src/core/kernel.h"
 #include "src/core/taskset_runner.h"
 #include "src/hal/hardware.h"
 #include "src/obs/cycles_report.h"
 #include "src/obs/obs_report.h"
-#include "src/obs/perfetto_export.h"
+#include "src/obs/trace_replay.h"
 
 namespace emeralds {
 namespace {
@@ -181,16 +183,22 @@ int Run() {
     }
   }
 
-  CycleConservation conservation = CheckCycleConservation(kernel.stats(), kernel.now());
+  std::vector<TraceEvent> scratch;
+  obs::NodeOracles oracles =
+      obs::RunNodeOracles(kernel, kernel.trace().Window(&scratch), kernel.trace().dropped());
+  const CycleConservation& conservation = oracles.cycles;
   std::printf("bench_cycles: CSD-3, %lld ms virtual time\n",
               static_cast<long long>(kRunTime.millis()));
   PrintKernelStats(kernel.stats());
   std::printf("conservation: ledger %.1f us vs elapsed %.1f us -> %s\n",
               conservation.ledger_total.micros_f(), conservation.elapsed.micros_f(),
               conservation.exact() ? "exact" : "VIOLATED");
+  std::printf("oracles: %s (%llu trace records dropped)\n",
+              oracles.ok() ? "ok" : oracles.failure.c_str(),
+              static_cast<unsigned long long>(kernel.trace().dropped()));
 
   std::string json_path = BenchJsonPath("BENCH_cycles.json");
-  if (!obs::WriteCyclesReportFile(json_path, "bench_cycles", "CSD-3", kernel, ids)) {
+  if (!WriteTextFile(json_path, obs::BuildCyclesReport("bench_cycles", "CSD-3", kernel, ids))) {
     std::fprintf(stderr, "bench_cycles: cannot write %s\n", json_path.c_str());
     return 1;
   }
@@ -200,24 +208,18 @@ int Run() {
   const char* dir = std::getenv("EMERALDS_OBS_DIR");
   if (dir != nullptr && dir[0] != '\0') {
     std::string base = std::string(dir) + "/bench_cycles";
-    std::FILE* csv = std::fopen((base + ".trace.csv").c_str(), "w");
-    if (csv != nullptr) {
-      kernel.trace().ExportCsv(csv);
-      std::fclose(csv);
-    }
-    std::FILE* pf = std::fopen((base + ".perfetto.json").c_str(), "w");
-    if (pf != nullptr) {
-      obs::ExportPerfettoJson(kernel, pf);
-      std::fclose(pf);
-    }
     obs::ObsRunInfo info;
     info.label = "bench_cycles";
     info.scheduler = "CSD-3";
     info.run_duration = kRunTime;
-    obs::WriteObsRunReportFile(base + ".run.json", info, kernel, ids);
+    if (!obs::WriteObsBundle(base, info, kernel, ids)) {
+      std::fprintf(stderr, "bench_cycles: cannot write %s.{trace.csv,perfetto.json,run.json}\n",
+                   base.c_str());
+      return 1;
+    }
     std::printf("[obs] wrote %s.{trace.csv,perfetto.json,run.json}\n", base.c_str());
   }
-  return conservation.exact() ? 0 : 1;
+  return oracles.ok() ? 0 : 1;
 }
 
 }  // namespace

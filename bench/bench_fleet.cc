@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "bench/bench_timers.h"
+#include "src/base/file.h"
 #include "src/core/kernel.h"
 #include "src/fleet/fleet.h"
 #include "src/fleet/fleet_report.h"
@@ -189,7 +190,7 @@ int Run() {
   info.trace_digest_ns_per_record = digest_ns_per_record;
   const char* env = std::getenv("EMERALDS_BENCH_JSON");
   std::string path = env != nullptr ? env : "BENCH_fleet.json";
-  if (!fleet::WriteFleetRunReportFile(path, info, result, timers)) {
+  if (!WriteTextFile(path, fleet::BuildFleetRunReport(info, result, timers) + "\n")) {
     std::fprintf(stderr, "FAIL: cannot write %s\n", path.c_str());
     return 1;
   }
@@ -202,13 +203,10 @@ int Run() {
       std::fprintf(stderr, "FAIL: OpenMetrics exposition invalid: %s\n", om_error.c_str());
       return 1;
     }
-    std::FILE* om = std::fopen(om_path, "w");
-    if (om == nullptr) {
+    if (!WriteTextFile(om_path, exposition)) {
       std::fprintf(stderr, "FAIL: cannot write %s\n", om_path);
       return 1;
     }
-    std::fwrite(exposition.data(), 1, exposition.size(), om);
-    std::fclose(om);
     std::printf("wrote %s (OpenMetrics)\n", om_path);
   }
 

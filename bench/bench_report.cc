@@ -1,7 +1,8 @@
 #include "bench/bench_report.h"
 
-#include <cstdio>
 #include <cstdlib>
+
+#include "src/base/file.h"
 
 namespace emeralds {
 namespace {
@@ -69,14 +70,7 @@ bool WriteBenchReport(const BenchReport& report, const std::string& path) {
     out += "\n    }";
   }
   out += "\n  ]\n}\n";
-
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return false;
-  }
-  size_t written = std::fwrite(out.data(), 1, out.size(), f);
-  bool ok = std::fclose(f) == 0 && written == out.size();
-  return ok;
+  return WriteTextFile(path, out);
 }
 
 std::string BenchJsonPath(const char* fallback) {

@@ -57,7 +57,7 @@ double Seconds(std::chrono::steady_clock::time_point since) {
 
 }  // namespace
 
-void RunBreakdownFigure(const char* figure_name, int divide) {
+bool RunBreakdownFigure(const char* figure_name, int divide) {
   const int workloads = WorkloadsPerPoint();
   const int ref_sample = ReferenceSample(workloads);
   const CostModel cost = CostModel::MC68040_25MHz();
@@ -170,11 +170,12 @@ void RunBreakdownFigure(const char* figure_name, int divide) {
   }
 
   std::string json_path = BenchJsonPath("BENCH_breakdown.json");
-  if (WriteBenchReport(report, json_path)) {
-    std::printf("perf trajectory written to %s\n\n", json_path.c_str());
-  } else {
-    std::printf("WARNING: could not write %s\n\n", json_path.c_str());
+  if (!WriteBenchReport(report, json_path)) {
+    std::fprintf(stderr, "%s: cannot write %s\n", figure_name, json_path.c_str());
+    return false;
   }
+  std::printf("perf trajectory written to %s\n\n", json_path.c_str());
+  return true;
 }
 
 }  // namespace emeralds

@@ -9,8 +9,9 @@ namespace emeralds {
 // count for RM, EDF, CSD-2, CSD-3 and CSD-4, with task periods divided by
 // `divide` (1, 2 or 3). Workload count defaults to the environment variable
 // EMERALDS_WORKLOADS (paper: 500; default here: 60 to keep the harness quick
-// on small machines). Prints the series to stdout.
-void RunBreakdownFigure(const char* figure_name, int divide);
+// on small machines). Prints the series to stdout and writes the perf
+// trajectory report; false when the report cannot be written completely.
+bool RunBreakdownFigure(const char* figure_name, int divide);
 
 }  // namespace emeralds
 

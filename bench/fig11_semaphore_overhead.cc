@@ -26,7 +26,6 @@
 #include "src/core/kernel.h"
 #include "src/hal/hardware.h"
 #include "src/obs/obs_report.h"
-#include "src/obs/perfetto_export.h"
 
 namespace emeralds {
 namespace {
@@ -103,21 +102,15 @@ double MeasurePairOverheadUs(SchedulerSpec spec, SemMode mode, int queue_length,
     const char* dir = std::getenv("EMERALDS_OBS_DIR");
     if (dir != nullptr && dir[0] != '\0') {
       std::string base = std::string(dir) + "/fig11_contended";
-      std::FILE* csv = std::fopen((base + ".trace.csv").c_str(), "w");
-      if (csv != nullptr) {
-        kernel.trace().ExportCsv(csv);
-        std::fclose(csv);
-      }
-      std::FILE* pf = std::fopen((base + ".perfetto.json").c_str(), "w");
-      if (pf != nullptr) {
-        obs::ExportPerfettoJson(kernel, pf);
-        std::fclose(pf);
-      }
       obs::ObsRunInfo info;
       info.label = "fig11_contended";
       info.scheduler = "FP";
       info.run_duration = Microseconds(12500);
-      obs::WriteObsRunReportFile(base + ".run.json", info, kernel, ids);
+      if (!obs::WriteObsBundle(base, info, kernel, ids)) {
+        std::fprintf(stderr, "fig11: cannot write %s.{trace.csv,perfetto.json,run.json}\n",
+                     base.c_str());
+        std::exit(1);
+      }
       std::printf("[obs] wrote %s.{trace.csv,perfetto.json,run.json}\n", base.c_str());
     }
   }

@@ -15,7 +15,6 @@
 #include "src/core/taskset_runner.h"
 #include "src/hal/hardware.h"
 #include "src/obs/obs_report.h"
-#include "src/obs/perfetto_export.h"
 #include "src/workload/workload.h"
 
 namespace emeralds {
@@ -33,22 +32,15 @@ void ExportObsBundle(const char* slug, const char* scheduler, Kernel& kernel,
     return;
   }
   std::string base = std::string(dir) + "/" + slug;
-
-  std::FILE* csv = std::fopen((base + ".trace.csv").c_str(), "w");
-  if (csv != nullptr) {
-    kernel.trace().ExportCsv(csv);
-    std::fclose(csv);
-  }
-  std::FILE* pf = std::fopen((base + ".perfetto.json").c_str(), "w");
-  if (pf != nullptr) {
-    obs::ExportPerfettoJson(kernel, pf);
-    std::fclose(pf);
-  }
   obs::ObsRunInfo info;
   info.label = slug;
   info.scheduler = scheduler;
   info.run_duration = horizon;
-  obs::WriteObsRunReportFile(base + ".run.json", info, kernel, ids);
+  if (!obs::WriteObsBundle(base, info, kernel, ids)) {
+    std::fprintf(stderr, "fig2: cannot write %s.{trace.csv,perfetto.json,run.json}\n",
+                 base.c_str());
+    std::exit(1);
+  }
   std::printf("[obs] wrote %s.{trace.csv,perfetto.json,run.json}\n", base.c_str());
 }
 

@@ -9,6 +9,5 @@
 #include "bench/breakdown_harness.h"
 
 int main() {
-  emeralds::RunBreakdownFigure("Figure 3", /*divide=*/1);
-  return 0;
+  return emeralds::RunBreakdownFigure("Figure 3", /*divide=*/1) ? 0 : 1;
 }

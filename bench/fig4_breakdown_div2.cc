@@ -8,6 +8,5 @@
 #include "bench/breakdown_harness.h"
 
 int main() {
-  emeralds::RunBreakdownFigure("Figure 4", /*divide=*/2);
-  return 0;
+  return emeralds::RunBreakdownFigure("Figure 4", /*divide=*/2) ? 0 : 1;
 }

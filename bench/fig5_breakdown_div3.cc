@@ -7,6 +7,5 @@
 #include "bench/breakdown_harness.h"
 
 int main() {
-  emeralds::RunBreakdownFigure("Figure 5", /*divide=*/3);
-  return 0;
+  return emeralds::RunBreakdownFigure("Figure 5", /*divide=*/3) ? 0 : 1;
 }

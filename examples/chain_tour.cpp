@@ -22,11 +22,11 @@
 #include <cstdio>
 #include <vector>
 
+#include "src/base/file.h"
 #include "src/core/kernel.h"
 #include "src/hal/hardware.h"
 #include "src/obs/chains.h"
 #include "src/obs/obs_report.h"
-#include "src/obs/perfetto_export.h"
 #include "src/obs/trace_analyzer.h"
 
 using namespace emeralds;
@@ -201,22 +201,16 @@ int main() {
                 obs::ChainViolationKindToString(v.kind), v.event_index, v.detail.c_str());
   }
 
-  std::FILE* csv = std::fopen("chain_tour.trace.csv", "w");
-  if (csv != nullptr) {
-    kernel.trace().ExportCsv(csv);
-    std::fclose(csv);
-  }
-  std::FILE* pf = std::fopen("chain_tour.perfetto.json", "w");
-  if (pf != nullptr) {
-    obs::ExportPerfettoJson(kernel, pf);
-    std::fclose(pf);
-  }
   obs::ObsRunInfo info;
   info.label = "chain_tour";
   info.scheduler = "RM";
   info.run_duration = Milliseconds(200);
-  obs::WriteObsRunReportFile("chain_tour.run.json", info, kernel, ids);
-  obs::WriteChainsReportFile("chain_tour.chains.json", "chain_tour", chains);
+  if (!obs::WriteObsBundle("chain_tour", info, kernel, ids) ||
+      !WriteTextFile("chain_tour.chains.json", obs::BuildChainsReport("chain_tour", chains))) {
+    std::fprintf(stderr,
+                 "cannot write chain_tour.{trace.csv,perfetto.json,run.json,chains.json}\n");
+    return 1;
+  }
   std::printf("wrote chain_tour.{trace.csv,perfetto.json,run.json,chains.json}\n");
   std::printf("chain verification: %s\n", ok ? "ok" : "FAILED");
   return ok ? 0 : 1;

@@ -19,7 +19,6 @@
 #include "src/core/taskset_runner.h"
 #include "src/hal/hardware.h"
 #include "src/obs/obs_report.h"
-#include "src/obs/perfetto_export.h"
 #include "src/obs/trace_analyzer.h"
 
 using namespace emeralds;
@@ -123,21 +122,14 @@ int main() {
   std::printf("\n");
 
   // --- Export the bundle ---
-  std::FILE* csv = std::fopen("observability_tour.trace.csv", "w");
-  if (csv != nullptr) {
-    kernel.trace().ExportCsv(csv);
-    std::fclose(csv);
-  }
-  std::FILE* pf = std::fopen("observability_tour.perfetto.json", "w");
-  if (pf != nullptr) {
-    obs::ExportPerfettoJson(kernel, pf);
-    std::fclose(pf);
-  }
   obs::ObsRunInfo info;
   info.label = "observability_tour";
   info.scheduler = "RM";
   info.run_duration = Milliseconds(200);
-  obs::WriteObsRunReportFile("observability_tour.run.json", info, kernel, ids);
+  if (!obs::WriteObsBundle("observability_tour", info, kernel, ids)) {
+    std::fprintf(stderr, "cannot write observability_tour.{trace.csv,perfetto.json,run.json}\n");
+    return 1;
+  }
   std::printf("wrote observability_tour.{trace.csv,perfetto.json,run.json}\n");
   return analysis.ok() ? 0 : 1;
 }

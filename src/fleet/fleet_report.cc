@@ -192,19 +192,5 @@ std::string BuildFleetRunReport(const FleetRunInfo& info, const FleetResult& res
   return json.str();
 }
 
-bool WriteFleetRunReportFile(const std::string& path, const FleetRunInfo& info,
-                             const FleetResult& result,
-                             const std::vector<TimerBenchPoint>& timers) {
-  std::FILE* out = std::fopen(path.c_str(), "w");
-  if (out == nullptr) {
-    return false;
-  }
-  std::string report = BuildFleetRunReport(info, result, timers);
-  std::fwrite(report.data(), 1, report.size(), out);
-  std::fputc('\n', out);
-  std::fclose(out);
-  return true;
-}
-
 }  // namespace fleet
 }  // namespace emeralds

@@ -68,10 +68,6 @@ struct FleetRunInfo {
 std::string BuildFleetRunReport(const FleetRunInfo& info, const FleetResult& result,
                                 const std::vector<TimerBenchPoint>& timers);
 
-bool WriteFleetRunReportFile(const std::string& path, const FleetRunInfo& info,
-                             const FleetResult& result,
-                             const std::vector<TimerBenchPoint>& timers);
-
 }  // namespace fleet
 }  // namespace emeralds
 

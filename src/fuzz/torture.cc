@@ -7,6 +7,7 @@
 #include <span>
 #include <vector>
 
+#include "src/base/file.h"
 #include "src/base/rng.h"
 #include "src/core/kernel.h"
 #include "src/hal/hardware.h"
@@ -635,8 +636,7 @@ bool ExportTortureTraceCsv(const TortureOptions& options, const std::string& pat
     return false;
   }
   InspectTorture(options, [&](const Kernel& kernel) { kernel.trace().ExportCsv(out); });
-  std::fclose(out);
-  return true;
+  return CloseWrittenFile(out);
 }
 
 bool ExportTortureBlackBox(const TortureOptions& options, const TortureResult& result,

@@ -152,7 +152,7 @@ void InspectTorture(const TortureOptions& options,
                     const std::function<void(const Kernel&)>& visit);
 
 // Writes the trace CSV of one run to `path` (re-runs the seed). Returns
-// false when the file cannot be created.
+// false when the file cannot be written completely.
 bool ExportTortureTraceCsv(const TortureOptions& options, const std::string& path);
 
 // Writes the standard black-box forensic bundle for one run under `dir`

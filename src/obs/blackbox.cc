@@ -2,6 +2,7 @@
 
 #include <filesystem>
 
+#include "src/base/file.h"
 #include "src/core/kernel.h"
 #include "src/obs/json_writer.h"
 #include "src/obs/perfetto_export.h"
@@ -103,33 +104,16 @@ bool WriteBlackBoxBundle(const BlackBoxSnapshot& box, const std::string& dir) {
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
 
-  {
-    std::FILE* out = std::fopen((dir + "/repro.txt").c_str(), "w");
-    if (out == nullptr) {
-      return false;
-    }
-    std::fprintf(out, "%s\nlabel: %s\nreason: %s\n", box.repro.c_str(), box.label.c_str(),
-                 box.reason.c_str());
-    std::fclose(out);
+  if (!WriteTextFile(dir + "/repro.txt",
+                     box.repro + "\nlabel: " + box.label + "\nreason: " + box.reason + "\n")) {
+    return false;
   }
-  {
-    std::FILE* out = std::fopen((dir + "/trace.csv").c_str(), "w");
-    if (out == nullptr) {
-      return false;
-    }
-    WriteTraceCsv(out, box.window, box.dropped);
-    std::fclose(out);
+  std::FILE* csv = std::fopen((dir + "/trace.csv").c_str(), "w");
+  if (csv == nullptr) {
+    return false;
   }
-  {
-    std::FILE* out = std::fopen((dir + "/blackbox.json").c_str(), "w");
-    if (out == nullptr) {
-      return false;
-    }
-    std::string report = BuildBlackBoxReport(box);
-    std::fwrite(report.data(), 1, report.size(), out);
-    std::fclose(out);
-  }
-  return true;
+  WriteTraceCsv(csv, box.window, box.dropped);
+  return CloseWrittenFile(csv) && WriteTextFile(dir + "/blackbox.json", BuildBlackBoxReport(box));
 }
 
 }  // namespace obs

@@ -1,7 +1,5 @@
 #include "src/obs/chains.h"
 
-#include <cstdio>
-
 #include "src/hal/trace.h"
 #include "src/obs/json_writer.h"
 
@@ -94,18 +92,6 @@ std::string BuildChainsReport(const std::string& label, const ChainAnalysis& ana
   AppendChainsSection(j, analysis);
   j.CloseObject();
   return j.str() + "\n";
-}
-
-bool WriteChainsReportFile(const std::string& path, const std::string& label,
-                           const ChainAnalysis& analysis) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return false;
-  }
-  std::string text = BuildChainsReport(label, analysis);
-  std::fwrite(text.data(), 1, text.size(), f);
-  std::fclose(f);
-  return true;
 }
 
 }  // namespace obs

@@ -141,8 +141,6 @@ void AppendChainsSection(class Json& j, const ChainAnalysis& analysis);
 
 // Standalone report document with schema "emeralds.obs.chains/1".
 std::string BuildChainsReport(const std::string& label, const ChainAnalysis& analysis);
-bool WriteChainsReportFile(const std::string& path, const std::string& label,
-                           const ChainAnalysis& analysis);
 
 }  // namespace obs
 }  // namespace emeralds

@@ -125,18 +125,5 @@ std::string BuildCyclesReport(const std::string& label, const std::string& sched
   return j.str() + "\n";
 }
 
-bool WriteCyclesReportFile(const std::string& path, const std::string& label,
-                           const std::string& scheduler, const Kernel& kernel,
-                           const std::vector<ThreadId>& task_ids) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return false;
-  }
-  std::string text = BuildCyclesReport(label, scheduler, kernel, task_ids);
-  std::fwrite(text.data(), 1, text.size(), f);
-  std::fclose(f);
-  return true;
-}
-
 }  // namespace obs
 }  // namespace emeralds

@@ -37,10 +37,6 @@ void AppendCyclesSection(Json& j, const Kernel& kernel);
 std::string BuildCyclesReport(const std::string& label, const std::string& scheduler,
                               const Kernel& kernel, const std::vector<ThreadId>& task_ids);
 
-bool WriteCyclesReportFile(const std::string& path, const std::string& label,
-                           const std::string& scheduler, const Kernel& kernel,
-                           const std::vector<ThreadId>& task_ids);
-
 }  // namespace obs
 }  // namespace emeralds
 

@@ -1,9 +1,11 @@
 #include "src/obs/obs_report.h"
 
+#include "src/base/file.h"
 #include "src/base/json.h"
 #include "src/core/kernel.h"
 #include "src/obs/cycles_report.h"
 #include "src/obs/json_writer.h"
+#include "src/obs/perfetto_export.h"
 #include "src/obs/trace_replay.h"
 
 namespace emeralds {
@@ -275,21 +277,23 @@ std::string BuildObsRunReport(const ObsRunInfo& info, const Kernel& kernel,
   return j.str() + "\n";
 }
 
-void WriteObsRunReport(std::FILE* out, const ObsRunInfo& info, const Kernel& kernel,
-                       const std::vector<ThreadId>& task_ids) {
-  std::string text = BuildObsRunReport(info, kernel, task_ids);
-  std::fwrite(text.data(), 1, text.size(), out);
-}
-
-bool WriteObsRunReportFile(const std::string& path, const ObsRunInfo& info,
-                           const Kernel& kernel, const std::vector<ThreadId>& task_ids) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
+bool WriteObsBundle(const std::string& base, const ObsRunInfo& info, const Kernel& kernel,
+                    const std::vector<ThreadId>& task_ids) {
+  std::FILE* csv = std::fopen((base + ".trace.csv").c_str(), "w");
+  if (csv == nullptr) {
     return false;
   }
-  WriteObsRunReport(f, info, kernel, task_ids);
-  std::fclose(f);
-  return true;
+  kernel.trace().ExportCsv(csv);
+  if (!CloseWrittenFile(csv)) {
+    return false;
+  }
+  std::FILE* perfetto = std::fopen((base + ".perfetto.json").c_str(), "w");
+  if (perfetto == nullptr) {
+    return false;
+  }
+  ExportPerfettoJson(kernel, perfetto);
+  return CloseWrittenFile(perfetto) &&
+         WriteTextFile(base + ".run.json", BuildObsRunReport(info, kernel, task_ids));
 }
 
 }  // namespace obs

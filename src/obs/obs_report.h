@@ -68,12 +68,11 @@ void AppendTraceAnalysisSection(class Json& j, const TraceAnalysis& analysis);
 std::string BuildObsRunReport(const ObsRunInfo& info, const Kernel& kernel,
                               const std::vector<ThreadId>& task_ids);
 
-// Same, written to an open stream / a path. The path variant returns false
-// when the file cannot be created.
-void WriteObsRunReport(std::FILE* out, const ObsRunInfo& info, const Kernel& kernel,
-                       const std::vector<ThreadId>& task_ids);
-bool WriteObsRunReportFile(const std::string& path, const ObsRunInfo& info,
-                           const Kernel& kernel, const std::vector<ThreadId>& task_ids);
+// Writes the run's observability bundle: <base>.trace.csv (the retained
+// trace window), <base>.perfetto.json and <base>.run.json (the report
+// above). False if any of the three files cannot be written completely.
+bool WriteObsBundle(const std::string& base, const ObsRunInfo& info, const Kernel& kernel,
+                    const std::vector<ThreadId>& task_ids);
 
 }  // namespace obs
 }  // namespace emeralds

@@ -63,7 +63,6 @@ NodeTelemetry CollectNodeTelemetry(const Kernel& kernel, const TraceAnalysis& an
 }
 
 void MergeNodeTelemetry(FleetTelemetry* fleet, const NodeTelemetry& node, int node_index) {
-  ++fleet->nodes_collected;
   fleet->jobs_completed += node.jobs_completed;
   fleet->deadline_misses += node.deadline_misses;
   fleet->chain_overruns += node.chain_overruns;
@@ -226,7 +225,6 @@ void AppendNodeTelemetrySection(Json& j, const NodeTelemetry& t) {
 void AppendFleetTelemetrySection(Json& j, const FleetTelemetry& t) {
   j.OpenObject();
   j.String("schema", kFleetTelemetrySchema);
-  j.Int("nodes_collected", t.nodes_collected);
   j.Int("jobs_completed", static_cast<int64_t>(t.jobs_completed));
   j.Int("deadline_misses", static_cast<int64_t>(t.deadline_misses));
   j.Int("chain_overruns", static_cast<int64_t>(t.chain_overruns));

@@ -91,7 +91,6 @@ struct NodeTelemetry {
 // Fleet-wide merge of NodeTelemetry blocks plus the worst-offender indices
 // the triage layer and the report surface.
 struct FleetTelemetry {
-  int nodes_collected = 0;
   uint64_t jobs_completed = 0;
   uint64_t deadline_misses = 0;
   uint64_t chain_overruns = 0;

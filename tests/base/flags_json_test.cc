@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/base/file.h"
 #include "src/base/flags.h"
 #include "src/base/json.h"
 
@@ -103,6 +104,30 @@ TEST(JsonTest, ParseFileReadsWholeFilesAndNamesThePathOnFailure) {
 
   EXPECT_FALSE(JsonParseFile(path, &root, &error));
   EXPECT_EQ(error, "cannot open " + path);
+}
+
+TEST(FileTest, WriteTextFileReportsEveryFailedWrite) {
+  std::string path = testing::TempDir() + "file_test.txt";
+  ASSERT_TRUE(WriteTextFile(path, "{\"k\": 1}\n"));
+  JsonValue root;
+  std::string error;
+  ASSERT_TRUE(JsonParseFile(path, &root, &error)) << error;
+  EXPECT_EQ(root.IntOr("k", 0), 1);
+  std::remove(path.c_str());
+  EXPECT_FALSE(WriteTextFile(testing::TempDir() + "no-such-dir/file_test.txt", "x"));
+
+  if (std::FILE* probe = std::fopen("/dev/full", "w")) {
+    std::fclose(probe);
+  } else {
+    GTEST_SKIP() << "no /dev/full on this system";
+  }
+  // Every write to /dev/full fails with ENOSPC, but stdio buffers it: only
+  // the flush at close reports it.
+  EXPECT_FALSE(WriteTextFile("/dev/full", "x"));
+  std::FILE* f = std::fopen("/dev/full", "w");
+  ASSERT_NE(f, nullptr);
+  std::fprintf(f, "streamed\n");
+  EXPECT_FALSE(CloseWrittenFile(f));
 }
 
 }  // namespace

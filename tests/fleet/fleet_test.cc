@@ -114,7 +114,6 @@ TEST(FleetTest, TelemetryCollectionNeverPerturbsTheDigest) {
     FleetResult on = RunFleet(opt);
     EXPECT_EQ(on.fleet_digest, serial.fleet_digest) << workers << " workers";
     EXPECT_EQ(on.events_total, serial.events_total) << workers << " workers";
-    EXPECT_EQ(on.telemetry.nodes_collected, opt.instances) << workers << " workers";
     EXPECT_EQ(on.telemetry.jobs_completed, serial.telemetry.jobs_completed)
         << workers << " workers";
     EXPECT_GT(on.telemetry.response.count(), 0u) << workers << " workers";

@@ -60,6 +60,7 @@
 #include <string>
 #include <vector>
 
+#include "src/base/file.h"
 #include "src/base/flags.h"
 #include "src/base/json.h"
 #include "src/core/kernel.h"
@@ -265,24 +266,21 @@ bool LoadReport(const char* path, const char* schema, JsonValue* root) {
   return true;
 }
 
-std::FILE* OpenOutput(const char* path) {
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "%s: cannot open %s\n", kFlags.program, path);
-  }
-  return f;
+// For an output file that could not be written completely.
+void CannotWrite(const char* path) {
+  std::fprintf(stderr, "%s: cannot write %s\n", kFlags.program, path);
 }
 
 // Writes the windows as one Perfetto document; `what` follows the entry
 // count in the confirmation line.
 bool WritePerfetto(const char* path, const std::vector<obs::PerfettoWindow>& windows,
                    const std::string& what) {
-  std::FILE* f = OpenOutput(path);
-  if (f == nullptr) {
+  std::FILE* f = std::fopen(path, "w");
+  size_t entries = f != nullptr ? obs::ExportPerfettoJsonMulti(windows, f) : 0;
+  if (f == nullptr || !CloseWrittenFile(f)) {
+    CannotWrite(path);
     return false;
   }
-  size_t entries = obs::ExportPerfettoJsonMulti(windows, f);
-  std::fclose(f);
   std::printf("perfetto: wrote %zu entries%s to %s\n", entries, what.c_str(), path);
   return true;
 }
@@ -472,13 +470,10 @@ int ShowAnalyses(const Args& a, const std::string& prefix, const std::string& la
     obs::PrintPostmortem(stdout, postmortem, &chains);
   }
   if (a.postmortem_json != nullptr) {
-    std::FILE* f = OpenOutput(a.postmortem_json);
-    if (f == nullptr) {
+    if (!WriteTextFile(a.postmortem_json, obs::BuildPostmortemReport(label, postmortem, &chains))) {
+      CannotWrite(a.postmortem_json);
       return 1;
     }
-    std::string doc = obs::BuildPostmortemReport(label, postmortem, &chains);
-    std::fwrite(doc.data(), 1, doc.size(), f);
-    std::fclose(f);
     std::printf("postmortem: wrote %" PRIu64 " analyzed miss(es) to %s\n",
                 postmortem.misses_analyzed, a.postmortem_json);
   }
@@ -605,7 +600,7 @@ int PrintReport(const JsonValue& root, const char* path) {
 
   if (const JsonValue* telemetry = root.Find("telemetry")) {
     std::printf("telemetry (%s, %lld nodes):\n", telemetry->StringOr("schema", ""),
-                static_cast<long long>(telemetry->IntOr("nodes_collected", 0)));
+                static_cast<long long>(root.IntOr("nodes_total", 0)));
     std::printf("  snapshot drops=%lld\n",
                 static_cast<long long>(telemetry->IntOr("stats_snapshot_drops", 0)));
     if (const JsonValue* cycles = telemetry->Find("core_cycles_us")) {
@@ -783,12 +778,10 @@ int WriteOpenMetrics(const char* path, const FleetOptions& opt) {
   if (std::strcmp(path, "-") == 0) {
     std::fwrite(exposition.data(), 1, exposition.size(), stdout);
   } else {
-    std::FILE* f = OpenOutput(path);
-    if (f == nullptr) {
+    if (!WriteTextFile(path, exposition)) {
+      CannotWrite(path);
       return 1;
     }
-    std::fwrite(exposition.data(), 1, exposition.size(), f);
-    std::fclose(f);
     std::printf("openmetrics: wrote %d families (%zu bytes) to %s\n", families,
                 exposition.size(), path);
   }

@@ -25,7 +25,8 @@
 // On failure: prints the one-line repro command, shrinks the first failing
 // seed's op budget by bisection, and exits 1. Runs are deterministic per
 // (seed, options), so every --jobs value reports the same runs, shrink and
-// artifacts. A malformed flag prints a diagnostic plus usage and exits 2.
+// artifacts. A malformed flag prints a diagnostic plus usage and exits 2;
+// so does a report or trace file that cannot be written completely.
 
 #include <chrono>
 #include <climits>
@@ -34,6 +35,7 @@
 #include <string>
 #include <vector>
 
+#include "src/base/file.h"
 #include "src/base/flags.h"
 #include "src/base/thread_pool.h"
 #include "src/core/config.h"
@@ -214,24 +216,17 @@ int Run(int argc, char** argv) {
 
   if (artifacts_dir != nullptr && failed > 0) {
     std::string report_path = std::string(artifacts_dir) + "/torture-report.json";
-    std::string report = BuildTortureReport(all_options, all_results);
-    if (std::FILE* out = std::fopen(report_path.c_str(), "w")) {
-      std::fwrite(report.data(), 1, report.size(), out);
-      std::fclose(out);
-    } else {
+    if (!WriteTextFile(report_path, BuildTortureReport(all_options, all_results))) {
       std::fprintf(stderr, "cannot write %s\n", report_path.c_str());
+      return 2;
     }
   }
 
   if (json_path != nullptr) {
-    std::string report = BuildTortureReport(all_options, all_results);
-    std::FILE* out = std::fopen(json_path, "w");
-    if (out == nullptr) {
+    if (!WriteTextFile(json_path, BuildTortureReport(all_options, all_results))) {
       std::fprintf(stderr, "cannot write %s\n", json_path);
       return 2;
     }
-    std::fwrite(report.data(), 1, report.size(), out);
-    std::fclose(out);
     std::printf("report written to %s\n", json_path);
   }
 
