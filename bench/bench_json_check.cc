@@ -344,13 +344,21 @@ bool Checker::Timeseries(const JsonValue& ts, const char* section, const JsonVal
     return Fail(section, "gap_windows=%g but %g windows are marked",
                 ts.Find("gap_windows")->number, gaps);
   }
-  // Telescoping: lossless series must reproduce the whole-run totals.
-  if (totals == nullptr || ts.Find("lost_samples")->number != 0.0) {
+  // Telescoping: lossless series must reproduce the whole-run totals. A
+  // total that is present must be a number, lossless or not.
+  if (totals == nullptr) {
     return true;
   }
+  const bool lossless = ts.Find("lost_samples")->number == 0.0;
   for (const auto& [key, sum] : {std::pair{"jobs_completed", jobs}, {"deadline_misses", misses}}) {
     const JsonValue* total = totals->Find(key);
-    if (total != nullptr && total->number != sum) {
+    if (total == nullptr) {
+      continue;
+    }
+    if (total->type != Type::kNumber) {
+      return Fail(section, "run total \"%s\" is not a number", key);
+    }
+    if (lossless && total->number != sum) {
       return Fail(section, "window %s sum to %g, run total is %g", key, sum, total->number);
     }
   }

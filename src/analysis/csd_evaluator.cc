@@ -253,8 +253,8 @@ bool CsdEvaluator::UtilStageFeasible(const std::vector<int>& sizes) const {
 }
 
 void CsdEvaluator::FillCosts(const std::vector<int>& sizes) {
-  // Final per-task costs for the demand/response-time stage, shared with the
-  // reference implementation (int64 arithmetic: identical costs, identical
+  // Final per-task costs for the demand/response-time stage, equal to the
+  // reference implementation's (int64 arithmetic: identical costs, identical
   // verdicts).
   int num_dp = static_cast<int>(sizes.size()) - 1;
   int index = 0;

@@ -137,8 +137,9 @@ class CsdEvaluator : public CsdEngine {
   void ComputeBandOverheads(const std::vector<int>& sizes);
   bool UtilStageFeasible(const std::vector<int>& sizes) const;
   void FillCosts(const std::vector<int>& sizes);
-  // The full schedulability test, sharing CsdDemandAndRtaFeasible with the
-  // reference implementation; only the utilization checks use prefix sums.
+  // The full schedulability test: the utilization checks on prefix sums,
+  // then CsdDemandAndRtaFeasible (the backward demand walk and the shared FP
+  // response-time stage). Same verdict as CsdFeasible on the same costs.
   bool FullTest(const std::vector<int>& sizes, double scale);
 
   const TaskSet& tasks_;

@@ -106,7 +106,8 @@ bool CsdFeasible(const TaskSet& sorted_tasks, const std::vector<int>& band_sizes
   }
 
   // --- DP bands: cumulative-utilization checks (the naive O(n) rescans the
-  // CsdEvaluator replaces with prefix sums) ---
+  // CsdEvaluator replaces with prefix sums), then each lower band's
+  // processor-demand scan ---
   int band_start = 0;
   for (int band = 0; band < num_dp; ++band) {
     int band_end = band_start + band_sizes[band];
@@ -123,89 +124,160 @@ bool CsdFeasible(const TaskSet& sorted_tasks, const std::vector<int>& band_sizes
     if (u > 1.0) {
       return false;
     }
-    band_start = band_end;
-  }
-
-  return CsdDemandAndRtaFeasible(sorted_tasks, band_sizes, cost_ns);
-}
-
-bool CsdDemandAndRtaFeasible(const TaskSet& sorted_tasks, const std::vector<int>& band_sizes,
-                             const std::vector<int64_t>& cost_ns) {
-  int num_dp = static_cast<int>(band_sizes.size()) - 1;
-
-  int band_start = 0;
-  for (int band = 0; band < num_dp; ++band) {
-    int band_end = band_start + band_sizes[band];
-    if (band_sizes[band] == 0) {
-      continue;
-    }
-    if (band_start > 0) {
-      // Lower DP band: processor-demand test with request-bound interference
-      // from the higher DP bands.
-      // Busy window for bands 0..band.
-      int64_t window = 0;
-      for (int i = 0; i < band_end; ++i) {
-        window += cost_ns[i];
-      }
-      int64_t max_period = 0;
-      for (int i = band_start; i < band_end; ++i) {
-        max_period = std::max(max_period, sorted_tasks.tasks[i].period.nanos());
-      }
-      int64_t window_cap = 50 * max_period;
-      bool converged = false;
-      for (int iter = 0; iter < kMaxBusyIterations; ++iter) {
-        int64_t next = 0;
-        for (int i = 0; i < band_end; ++i) {
-          next += CeilDiv(window, sorted_tasks.tasks[i].period.nanos()) * cost_ns[i];
-        }
-        if (next > window_cap) {
-          return false;  // conservative: window exploded
-        }
-        if (next == window) {
-          converged = true;
-          break;
-        }
-        window = next;
-      }
-      if (!converged) {
-        return false;
-      }
-      // Test points: absolute deadlines of this band's tasks within the
-      // window.
-      std::vector<int64_t> points;
-      for (int i = band_start; i < band_end; ++i) {
-        int64_t period = sorted_tasks.tasks[i].period.nanos();
-        int64_t deadline = sorted_tasks.tasks[i].deadline.nanos();
-        for (int64_t d = deadline; d <= window; d += period) {
-          points.push_back(d);
-          if (points.size() > kMaxDemandPoints) {
-            return false;  // conservative
-          }
-        }
-      }
-      std::sort(points.begin(), points.end());
-      points.erase(std::unique(points.begin(), points.end()), points.end());
-      for (int64_t t : points) {
-        int64_t demand = 0;
-        for (int i = band_start; i < band_end; ++i) {
-          int64_t period = sorted_tasks.tasks[i].period.nanos();
-          int64_t deadline = sorted_tasks.tasks[i].deadline.nanos();
-          if (t >= deadline) {
-            demand += (FloorDiv(t - deadline, period) + 1) * cost_ns[i];
-          }
-        }
-        for (int i = 0; i < band_start; ++i) {
-          demand += CeilDiv(t, sorted_tasks.tasks[i].period.nanos()) * cost_ns[i];
-        }
-        if (demand > t) {
-          return false;
-        }
-      }
+    if (band_start > 0 && !CsdBandDemandScan(sorted_tasks, band_start, band_end, cost_ns)) {
+      return false;
     }
     band_start = band_end;
   }
 
   // --- FP band: response-time analysis ---
+  return CsdFpRtaFeasible(sorted_tasks, band_start, cost_ns);
+}
+
+namespace {
+
+// Busy window of tasks 0..band_end-1: the least fixed point of
+// W = sum ceil(W / P_i) * C_i, iterated from W = sum C_i. Returns false
+// (conservatively infeasible) when an iterate exceeds 50 times the band's
+// longest period or no fixed point is reached within kMaxBusyIterations.
+bool BusyWindow(const TaskSet& sorted_tasks, int band_start, int band_end,
+                const std::vector<int64_t>& cost_ns, int64_t* window) {
+  int64_t w = 0;
+  for (int i = 0; i < band_end; ++i) {
+    w += cost_ns[i];
+  }
+  int64_t max_period = 0;
+  for (int i = band_start; i < band_end; ++i) {
+    max_period = std::max(max_period, sorted_tasks.tasks[i].period.nanos());
+  }
+  int64_t window_cap = 50 * max_period;
+  for (int iter = 0; iter < kMaxBusyIterations; ++iter) {
+    int64_t next = 0;
+    for (int i = 0; i < band_end; ++i) {
+      next += CeilDiv(w, sorted_tasks.tasks[i].period.nanos()) * cost_ns[i];
+    }
+    if (next > window_cap) {
+      return false;  // conservative: window exploded
+    }
+    if (next == w) {
+      *window = w;
+      return true;
+    }
+    w = next;
+  }
+  return false;
+}
+
+// h(t): the band's jobs with absolute deadline <= t plus request-bound
+// interference from every task above the band. Non-decreasing in t.
+int64_t Demand(const TaskSet& sorted_tasks, int band_start, int band_end,
+               const std::vector<int64_t>& cost_ns, int64_t t) {
+  int64_t demand = 0;
+  for (int i = band_start; i < band_end; ++i) {
+    const PeriodicTask& task = sorted_tasks.tasks[i];
+    int64_t deadline = task.deadline.nanos();
+    if (t >= deadline) {
+      demand += (FloorDiv(t - deadline, task.period.nanos()) + 1) * cost_ns[i];
+    }
+  }
+  for (int i = 0; i < band_start; ++i) {
+    demand += CeilDiv(t, sorted_tasks.tasks[i].period.nanos()) * cost_ns[i];
+  }
+  return demand;
+}
+
+// The largest test point D_i + k * P_i (k >= 0) of the band that is <= limit,
+// or -1 when there is none.
+int64_t LastPointAtOrBefore(const TaskSet& sorted_tasks, int band_start, int band_end,
+                            int64_t limit) {
+  int64_t last = -1;
+  for (int i = band_start; i < band_end; ++i) {
+    const PeriodicTask& task = sorted_tasks.tasks[i];
+    int64_t deadline = task.deadline.nanos();
+    if (deadline <= limit) {
+      int64_t period = task.period.nanos();
+      last = std::max(last, deadline + FloorDiv(limit - deadline, period) * period);
+    }
+  }
+  return last;
+}
+
+}  // namespace
+
+bool CsdBandDemandScan(const TaskSet& sorted_tasks, int band_start, int band_end,
+                       const std::vector<int64_t>& cost_ns) {
+  int64_t window = 0;
+  if (!BusyWindow(sorted_tasks, band_start, band_end, cost_ns, &window)) {
+    return false;
+  }
+  // Test points: absolute deadlines of this band's tasks within the window.
+  std::vector<int64_t> points;
+  for (int i = band_start; i < band_end; ++i) {
+    int64_t period = sorted_tasks.tasks[i].period.nanos();
+    int64_t deadline = sorted_tasks.tasks[i].deadline.nanos();
+    for (int64_t d = deadline; d <= window; d += period) {
+      points.push_back(d);
+      if (points.size() > kMaxDemandPoints) {
+        return false;  // conservative
+      }
+    }
+  }
+  std::sort(points.begin(), points.end());
+  points.erase(std::unique(points.begin(), points.end()), points.end());
+  for (int64_t t : points) {
+    if (Demand(sorted_tasks, band_start, band_end, cost_ns, t) > t) {
+      return false;
+    }
+  }
+  return true;
+}
+
+bool CsdBandDemandWalk(const TaskSet& sorted_tasks, int band_start, int band_end,
+                       const std::vector<int64_t>& cost_ns) {
+  int64_t window = 0;
+  if (!BusyWindow(sorted_tasks, band_start, band_end, cost_ns, &window)) {
+    return false;
+  }
+  // The scan's point cap, counted in closed form (duplicates included).
+  int64_t raw_points = 0;
+  for (int i = band_start; i < band_end; ++i) {
+    int64_t deadline = sorted_tasks.tasks[i].deadline.nanos();
+    if (deadline <= window) {
+      raw_points += FloorDiv(window - deadline, sorted_tasks.tasks[i].period.nanos()) + 1;
+    }
+  }
+  if (raw_points > static_cast<int64_t>(kMaxDemandPoints)) {
+    return false;  // conservative
+  }
+  // Every point above t is already known safe. A safe t with h = h(t) <= t
+  // clears every point p in [h, t] too, since h(p) <= h(t) <= p, so the walk
+  // moves to the last point below h. It snaps to a real deadline point: the
+  // higher bands' interference steps between deadlines, so h itself is
+  // usually not a point the scan tests.
+  for (int64_t t = LastPointAtOrBefore(sorted_tasks, band_start, band_end, window); t >= 0;) {
+    int64_t h = Demand(sorted_tasks, band_start, band_end, cost_ns, t);
+    if (h > t) {
+      return false;
+    }
+    t = LastPointAtOrBefore(sorted_tasks, band_start, band_end, h - 1);
+  }
+  return true;
+}
+
+bool CsdDemandAndRtaFeasible(const TaskSet& sorted_tasks, const std::vector<int>& band_sizes,
+                             const std::vector<int64_t>& cost_ns) {
+  int num_dp = static_cast<int>(band_sizes.size()) - 1;
+  int band_start = 0;
+  for (int band = 0; band < num_dp; ++band) {
+    int band_end = band_start + band_sizes[band];
+    // Lower DP bands only: the top band is plain EDF, settled by the
+    // utilization check.
+    if (band_start > 0 && band_end > band_start &&
+        !CsdBandDemandWalk(sorted_tasks, band_start, band_end, cost_ns)) {
+      return false;
+    }
+    band_start = band_end;
+  }
   return CsdFpRtaFeasible(sorted_tasks, band_start, cost_ns);
 }
 

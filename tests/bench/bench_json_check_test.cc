@@ -277,7 +277,18 @@ std::vector<std::string> TimeseriesKeys(const std::string& p) {
 // `totals` holds the whole-run jobs_completed/deadline_misses the lossless
 // series must telescope to.
 std::vector<Gate> TimeseriesGates(const std::string& p, const std::string& totals) {
-  return {SetTo(p + "schema", String("emeralds.obs.timeseries/0")),
+  std::vector<Gate> gates;
+  // A non-numeric total is rejected even where, read as 0, it would match
+  // the windows' sum.
+  for (std::string key : {"jobs_completed", "deadline_misses"}) {
+    gates.push_back({"string " + totals + key + " over zeroed windows", [=](JsonValue& d) {
+                       for (JsonValue& w : Ref(d, p + "series").array) {
+                         Ref(w, key) = Number(0);
+                       }
+                       Ref(d, totals + key) = String("7");
+                     }});
+  }
+  AddGates(&gates, {SetTo(p + "schema", String("emeralds.obs.timeseries/0")),
           AddTo(p + "windows", 1),
           SetTo(p + "windows", Number(-1)),
           AddTo(p + "series.-1.start_us", 1),
@@ -296,7 +307,8 @@ std::vector<Gate> TimeseriesGates(const std::string& p, const std::string& total
            }},
           AddTo(p + "gap_windows", 1),
           AddTo(totals + "jobs_completed", 1),
-          AddTo(totals + "deadline_misses", 1)};
+          AddTo(totals + "deadline_misses", 1)});
+  return gates;
 }
 
 std::vector<std::string> AlertsKeys(const std::string& p, bool with_events) {
